@@ -10,7 +10,6 @@ and a top-fraction threshold picks the positions to impute.
 import numpy as np
 
 from imvc import (
-    DmgmmModel,
     MissingSpec,
     MultiViewDataset,
     generate_mask,
@@ -20,7 +19,7 @@ from imvc import (
     select_positions,
     view_correlation,
 )
-from imvc.trainer import TrainConfig, calibrate_heads, pretrain
+from imvc.trainer import TrainConfig, build_pretrained
 
 ds = make_synthetic(seed=0)
 mask = generate_mask(600, 3, MissingSpec(np.array([0.8, 0.5, 0.2]), 0.5, seed=7))
@@ -29,9 +28,7 @@ ds = normalize(MultiViewDataset(views=ds.views, mask=mask, labels=ds.labels, K=4
 # a short reconstruction-only pretrain gives the latents for the
 # view-correlation (CCA) estimate
 cfg = TrainConfig(pretrain_epochs=150, train_epochs=1, d_z=8, hidden=(64, 32), seed=0)
-model = DmgmmModel.build(ds.dims, ds.K, d_z=8, hidden=(64, 32), seed=0)
-latents, _ = pretrain(model, ds, cfg)
-calibrate_heads(model, ds, latents)
+_, latents, _ = build_pretrained(ds, cfg, ds.K)
 
 corr = view_correlation(latents, ds)
 print("view correlation matrix (first canonical correlations):")

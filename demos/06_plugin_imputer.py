@@ -13,7 +13,6 @@ import os
 import numpy as np
 
 from imvc import (
-    DmgmmModel,
     TrainConfig,
     accuracy,
     fit,
@@ -24,7 +23,7 @@ from imvc import (
     select_positions,
     view_correlation,
 )
-from imvc.trainer import calibrate_heads, pretrain
+from imvc.trainer import build_pretrained
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
 
@@ -37,9 +36,7 @@ ds = normalize(load_dataset(
 
 cfg = TrainConfig(pretrain_epochs=150, train_epochs=100, d_z=8, hidden=(64, 32),
                   alpha=5.0, seed=0, log_every=1000)
-model = DmgmmModel.build(ds.dims, ds.K, d_z=8, hidden=(64, 32), seed=0)
-latents, _ = pretrain(model, ds, cfg)
-calibrate_heads(model, ds, latents)
+_, latents, _ = build_pretrained(ds, cfg, ds.K)
 table = info_scores(ds, corr=view_correlation(latents, ds))
 
 seeds = [0, 1, 2]

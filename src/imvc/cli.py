@@ -33,7 +33,7 @@ from .data import (
     save_dataset,
 )
 from .metrics import accuracy, ari, nmi, plugin_impute
-from .trainer import TrainConfig, calibrate_heads, fit, pretrain
+from .trainer import TrainConfig, build_pretrained, fit
 
 
 DEFAULTS = {
@@ -98,9 +98,18 @@ def read_config(path, overrides):
     return cfg
 
 
+# keys that change how or where a run executes, not what it computes
+EXECUTION_KEYS = (("sweep", "workers"), ("output", "dir"))
+
+
 def config_hash(cfg):
+    """Hash of the settings that affect results (execution-only keys left out)."""
+    kept = {
+        sec: {k: v for k, v in vals.items() if (sec, k) not in EXECUTION_KEYS}
+        for sec, vals in cfg.items()
+    }
     return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()
+        json.dumps(kept, sort_keys=True).encode()
     ).hexdigest()[:12]
 
 
@@ -196,12 +205,7 @@ def cmd_score(cfg):
     ds = load_from_config(cfg)
     tc = train_config(cfg)
     K = ds.K if ds.K is not None else max(2, int(cfg["data"]["clusters"] or 2))
-    model = M.DmgmmModel.build(
-        ds.dims, K, d_z=tc.d_z, hidden=tc.hidden,
-        likelihoods=tc.likelihoods or ["gaussian"] * ds.n_views, seed=tc.seed,
-    )
-    latents, _ = pretrain(model, ds, tc)
-    calibrate_heads(model, ds, latents)
+    _, latents, _ = build_pretrained(ds, tc, K)
     corr = scoring.view_correlation(latents, ds)
     table = scoring.select_positions(
         scoring.info_scores(ds, corr=corr), tc.selection_ratio
@@ -441,12 +445,7 @@ def cmd_plugin(cfg):
     k = int(cfg["plugin"]["neighbors"])
     runs = int(cfg["plugin"]["runs"])
 
-    model = M.DmgmmModel.build(
-        ds.dims, ds.K, d_z=tc.d_z, hidden=tc.hidden,
-        likelihoods=tc.likelihoods or ["gaussian"] * ds.n_views, seed=tc.seed,
-    )
-    latents, _ = pretrain(model, ds, tc)
-    calibrate_heads(model, ds, latents)
+    _, latents, _ = build_pretrained(ds, tc, ds.K)
     corr = scoring.view_correlation(latents, ds)
     table = scoring.info_scores(ds, corr=corr)
 

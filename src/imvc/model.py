@@ -8,8 +8,11 @@ posteriors q(z | x^v), which are fused across observed views by a
 product of experts (precision-weighted mean, summed precisions). Missing
 views that were selected for imputation get their posterior parameters
 estimated from latent-space neighbors, with the dispersion of neighbor
-means added to the imputed variance as an epistemic term; the fused
-posterior is then rebuilt including those imputed experts.
+means added to the imputed variance as an epistemic term. Imputed experts
+travel densely: ``impute_all`` sums them per sample into a pair
+``(prec, num)`` of (N, d_z) arrays (summed precisions and summed
+precision-weighted means). Every fusion goes through ``fuse``, which
+starts from those sums and adds the observed views in index order.
 
 The training loss is the negative ELBO (reconstruction over observed
 views, mixture KL, categorical KL) plus ``alpha`` times a coherence
@@ -216,47 +219,47 @@ def encode_all(model, dataset):
     return posts
 
 
+def fuse(mus, precs, imputed=None):
+    """Product of Gaussian experts given as means and precisions.
+
+    Starts from the summed imputed experts ``imputed = (prec, num)`` of
+    ``impute_all`` (zeros when None), then adds each expert in order:
+    precisions add and ``num`` gathers precision * mean. Returns plain
+    ``(mu, var)`` arrays; nothing is validated, so a non-finite expert
+    reaches the caller's finiteness checks instead of raising here.
+    """
+    if imputed is None:
+        P = np.zeros_like(precs[0])
+        num = np.zeros_like(precs[0])
+    else:
+        P = imputed[0].copy()
+        num = imputed[1].copy()
+    for mu, p in zip(mus, precs):
+        P += p
+        num += p * mu
+    var = 1.0 / P
+    return num * var, var
+
+
 def poe_aggregate(posteriors):
     """Product of Gaussian experts: summed precisions, precision-weighted mean."""
     if not posteriors:
         raise ValueError("need at least one expert")
-    prec = np.stack([1.0 / p.var for p in posteriors])
-    mu_num = np.stack([p.mu / p.var for p in posteriors])
-    total = prec.sum(axis=0)
-    var = 1.0 / total
-    mu = mu_num.sum(axis=0) * var
+    mu, var = fuse([p.mu for p in posteriors], [1.0 / p.var for p in posteriors])
     return GaussianPosterior(mu=mu, var=var)
 
 
-def aggregate_observed(view_posteriors, mask):
-    """PoE over observed views only, batched over all samples."""
-    maskb = np.asarray(mask).astype(bool)
-    prec = np.zeros_like(view_posteriors[0].var)
-    num = np.zeros_like(view_posteriors[0].mu)
-    for v, p in enumerate(view_posteriors):
-        m = maskb[:, v][:, None]
-        prec += np.where(m, 1.0 / p.var, 0.0)
-        num += np.where(m, p.mu / p.var, 0.0)
-    var = 1.0 / prec
-    return GaussianPosterior(mu=num * var, var=var)
+def aggregate_observed(view_posteriors, mask, imputed=None):
+    """PoE over observed views, batched over all samples.
 
-
-def aggregate_with_imputations(view_posteriors, mask, imputations):
-    """PoE over observed experts plus constant imputed experts."""
+    ``imputed`` is the ``(prec, num)`` pair of ``impute_all``; its experts
+    are added to the observed ones.
+    """
     maskb = np.asarray(mask).astype(bool)
-    prec = np.zeros_like(view_posteriors[0].var)
-    num = np.zeros_like(view_posteriors[0].mu)
-    for v, p in enumerate(view_posteriors):
-        m = maskb[:, v][:, None]
-        prec += np.where(m, 1.0 / p.var, 0.0)
-        num += np.where(m, p.mu / p.var, 0.0)
-    for (i, v), post in imputations.items():
-        if maskb[i, v]:
-            raise ValueError(f"position ({i}, {v}) is observed; cannot stack an imputed expert")
-        prec[i] += 1.0 / post.var
-        num[i] += post.mu / post.var
-    var = 1.0 / prec
-    return GaussianPosterior(mu=num * var, var=var)
+    mus = [np.where(maskb[:, [v]], p.mu, 0.0) for v, p in enumerate(view_posteriors)]
+    precs = [np.where(maskb[:, [v]], 1.0 / p.var, 0.0) for v, p in enumerate(view_posteriors)]
+    mu, var = fuse(mus, precs, imputed)
+    return GaussianPosterior(mu=mu, var=var)
 
 
 def w2_distance(a, b):
@@ -315,32 +318,35 @@ def fuse_with_imputation(model, dataset, table, i, view_posteriors, k=10):
 
 
 def impute_all(dataset, table, view_posteriors, k=10):
-    """Imputed posteriors for every selected missing position.
+    """Dense imputed experts for every selected missing position.
 
     Neighbor search runs on the pre-imputation fused posteriors, so the
     result is a pure function of the current encoder state. Equivalent to
     calling impute_distribution per position, but batched per view: one
     distance matrix from the querying samples to all donors, a top-k
-    selection per row, and softmax-weighted neighbor statistics. Returns a
-    dict (sample, view) -> GaussianPosterior.
+    selection per row, and softmax-weighted neighbor statistics. Returns
+    ``(prec, num)``, two (N, d_z) arrays: prec[i] sums 1/var_hat and
+    num[i] sums mu_hat/var_hat over the views selected for sample i, in
+    ascending view order; rows with no selected view are zero.
     """
-    out = {}
-    by_sample = table.selected_by_sample()
-    if not by_sample:
-        return out
+    n, d = view_posteriors[0].mu.shape
+    prec = np.zeros((n, d))
+    num = np.zeros((n, d))
+    pos = table.positions[table.selected]
+    if pos.size == 0:
+        return prec, num
+    observed = dataset.mask[pos[:, 0], pos[:, 1]] != 0
+    if observed.any():
+        i, v = pos[observed][0].tolist()
+        raise ValueError(f"position ({i}, {v}) is observed; cannot impute it")
     agg = aggregate_observed(view_posteriors, dataset.mask)
     sd = agg.sd
 
-    by_view = {}
-    for i, views in by_sample.items():
-        for v in views:
-            by_view.setdefault(v, []).append(i)
-
-    for v, queries in by_view.items():
+    for v in np.unique(pos[:, 1]).tolist():
         donors = np.where(dataset.mask[:, v] == 1)[0]
         if donors.size == 0:
             raise ValueError(f"no sample observes view {v}; cannot impute")
-        q = np.asarray(sorted(queries))
+        q = np.unique(pos[pos[:, 1] == v, 0])
         dmu = agg.mu[q][:, None, :] - agg.mu[donors][None, :, :]
         dsd = sd[q][:, None, :] - sd[donors][None, :, :]
         dist = np.sqrt((dmu * dmu).sum(-1) + (dsd * dsd).sum(-1))  # (nq, nd)
@@ -357,9 +363,9 @@ def impute_all(dataset, table, view_posteriors, k=10):
         mu_hat = np.einsum("qk,qkd->qd", w, mu_nb)
         var_hat = np.einsum("qk,qkd->qd", w, var_nb)
         var_hat += np.einsum("qk,qkd->qd", w, (mu_nb - mu_hat[:, None, :]) ** 2)
-        for r, i in enumerate(q.tolist()):
-            out[(int(i), int(v))] = GaussianPosterior(mu_hat[r], var_hat[r])
-    return out
+        prec[q] += 1.0 / var_hat
+        num[q] += mu_hat / var_hat
+    return prec, num
 
 
 def responsibilities(prior, z):
@@ -438,8 +444,9 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
     """Training objective and analytic gradients on one batch.
 
     eps is the frozen reparameterization noise, shape (len(batch), d_z).
-    imputations maps (sample, view) -> GaussianPosterior and is treated as
-    constant (no gradients flow into imputed experts). Returns
+    imputations is the ``(prec, num)`` pair of ``impute_all`` over all
+    samples (or None); its rows for the batch are treated as constant
+    experts (no gradients flow into them). Returns
     (LossTerms, grads) with grads aligned to ``model.parameters()``.
     Raises NonFiniteLossError naming the first non-finite term.
     """
@@ -473,28 +480,9 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
              "var": var_v, "prec": prec_v}
         )
 
-    # ---- constant imputed experts ----
-    pos_of = {int(g): b for b, g in enumerate(batch_idx)}
-    iprec = np.zeros((B, d))
-    inum = np.zeros((B, d))
-    if imputations:
-        for (i, v), post in imputations.items():
-            b = pos_of.get(int(i))
-            if b is None:
-                continue
-            if obs[b, v]:
-                raise ValueError(f"position ({i}, {v}) is observed; cannot stack an imputed expert")
-            iprec[b] += 1.0 / post.var
-            inum[b] += post.mu / post.var
-
-    # ---- product of experts ----
-    P = iprec.copy()
-    num = inum.copy()
-    for e in enc:
-        P += e["prec"]
-        num += e["prec"] * e["mu"]
-    var_agg = 1.0 / P
-    mu_agg = num * var_agg
+    # ---- product of experts: constant imputed experts, then observed ----
+    imputed = None if imputations is None else tuple(a[batch_idx] for a in imputations)
+    mu_agg, var_agg = fuse([e["mu"] for e in enc], [e["prec"] for e in enc], imputed)
     sd_agg = np.sqrt(var_agg)
     z = mu_agg + sd_agg * eps
 
@@ -672,12 +660,6 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
         grads.extend(gv)
     grads.extend([d_pi_logits, d_mu_k, d_var_k * sigmoid(model.prior_rho)])
     return terms, grads
-
-
-def elbo_loss(model, dataset, batch_idx, eps, imputations=None):
-    """Negative ELBO and its gradients (no coherence term)."""
-    return loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0,
-                          imputations=imputations)
 
 
 MODEL_MAGIC = "imvc-model-v1"

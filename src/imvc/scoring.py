@@ -83,9 +83,6 @@ class InfoTable:
             raise KeyError(f"({i}, {v}) is not a missing position")
         return float(self.scores[idx[0]])
 
-    def selected_positions(self):
-        return [tuple(p) for p, s in zip(self.positions.tolist(), self.selected) if s]
-
     def selected_by_sample(self):
         """dict sample -> list of selected missing views."""
         out = {}

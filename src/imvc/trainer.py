@@ -129,11 +129,6 @@ def pretrain(model, dataset, config):
     return latents, losses
 
 
-def _inv_softplus(y):
-    y = np.maximum(y, 1e-6)
-    return y + np.log(-np.expm1(-y))
-
-
 def calibrate_heads(model, dataset, latents, enc_sigma_frac=0.5):
     """Standardize the latent spaces and rescale the untrained scale heads
     after pretraining.
@@ -180,8 +175,8 @@ def calibrate_heads(model, dataset, latents, enc_sigma_frac=0.5):
             out, _ = dec.forward(latents[v][rows])
             resid = X - out[:, : X.shape[1]]
             res_scale = np.maximum(resid.std(axis=0), 1e-3)
-            dec.biases[-1][X.shape[1]:] = _inv_softplus(res_scale)
-        enc.biases[-1][d:] = _inv_softplus(np.full(d, enc_sigma_frac))
+            dec.biases[-1][X.shape[1]:] = M._inv_softplus(res_scale)
+        enc.biases[-1][d:] = M._inv_softplus(np.full(d, enc_sigma_frac))
 
 
 def _kmeans_once(X, K, rng, n_iter=100):
@@ -268,16 +263,47 @@ def init_prior(latent_mu, K, seed, var_boost=None, fit_rows=None):
     return M.MixturePrior(pi=pi, mu=centers, var=var)
 
 
+def build_pretrained(dataset, config, K):
+    """Build the model for ``config``, pretrain it and calibrate its heads.
+
+    The start shared by ``fit``, ``imvc score`` and ``imvc plugin``;
+    returns (model, latents, pretrain losses). Scoring stays with the
+    caller, so a fit without the informativeness gate never scores.
+    """
+    likelihoods = config.likelihoods or ["gaussian"] * dataset.n_views
+    for v, lk in enumerate(likelihoods):
+        if lk == "bernoulli":
+            obs = dataset.observed(v)
+            X = dataset.views[v][obs]
+            if X.min() < 0 or X.max() > 1:
+                raise ValueError(f"view {v} is not in [0,1]; Bernoulli likelihood needs that")
+    model = M.DmgmmModel.build(
+        dataset.dims, K, d_z=config.d_z, hidden=tuple(config.hidden),
+        likelihoods=likelihoods, seed=config.seed,
+    )
+    latents, losses = pretrain(model, dataset, config)
+    calibrate_heads(model, dataset, latents)
+    return model, latents, losses
+
+
+def _imputed_experts(dataset, table, posts, k):
+    """``impute_all``'s dense experts, or None when nothing is selected."""
+    if table is None or not table.n_selected:
+        return None
+    return M.impute_all(dataset, table, posts, k=k)
+
+
 def _deterministic_assignments(model, dataset, table, k):
     """Cluster assignments from the noise-free fused posterior mean."""
     posts = M.encode_all(model, dataset)
-    if table is not None and table.n_selected:
-        imput = M.impute_all(dataset, table, posts, k=k)
-        agg = M.aggregate_with_imputations(posts, dataset.mask, imput)
-    else:
-        agg = M.aggregate_observed(posts, dataset.mask)
+    agg = M.aggregate_observed(posts, dataset.mask, _imputed_experts(dataset, table, posts, k))
     gamma = M.responsibilities(model.prior, agg.mu)
     return gamma.argmax(axis=1), gamma
+
+
+def _label_metrics(assign, labels):
+    return {"acc": accuracy(assign, labels), "nmi": nmi(assign, labels),
+            "ari": ari(assign, labels)}
 
 
 def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
@@ -293,20 +319,7 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
     K = dataset.K
     if K is None:
         raise ValueError("dataset has no cluster count; set K")
-    likelihoods = config.likelihoods or ["gaussian"] * dataset.n_views
-    for v, lk in enumerate(likelihoods):
-        if lk == "bernoulli":
-            obs = dataset.observed(v)
-            X = dataset.views[v][obs]
-            if X.min() < 0 or X.max() > 1:
-                raise ValueError(f"view {v} is not in [0,1]; Bernoulli likelihood needs that")
-
-    model = M.DmgmmModel.build(
-        dataset.dims, K, d_z=config.d_z, hidden=tuple(config.hidden),
-        likelihoods=likelihoods, seed=config.seed,
-    )
-    latents, pre_losses = pretrain(model, dataset, config)
-    calibrate_heads(model, dataset, latents)
+    model, latents, pre_losses = build_pretrained(dataset, config, K)
 
     posts = M.encode_all(model, dataset)
     agg0 = M.aggregate_observed(posts, dataset.mask)
@@ -341,9 +354,7 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
     while epoch < config.train_epochs:
         try:
             posts = M.encode_all(model, dataset)
-            imput = {}
-            if table is not None and table.n_selected:
-                imput = M.impute_all(dataset, table, posts, k=config.n_neighbors)
+            imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
             if batch == n:
                 batches = [np.arange(n)]
             else:
@@ -378,17 +389,17 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
                 model, os.path.join(checkpoint_dir, f"checkpoint_{epoch + 1}.json")
             )
         entry = {"epoch": epoch, **terms.as_dict()}
-        if dataset.labels is not None and (
-            epoch % config.log_every == 0 or epoch == config.train_epochs - 1
-        ):
+        # the last epoch is evaluated once, below, with the final assignments
+        if (dataset.labels is not None and epoch % config.log_every == 0
+                and epoch < config.train_epochs - 1):
             assign, _ = _deterministic_assignments(model, dataset, table, config.n_neighbors)
-            entry["acc"] = accuracy(assign, dataset.labels)
-            entry["nmi"] = nmi(assign, dataset.labels)
-            entry["ari"] = ari(assign, dataset.labels)
+            entry.update(_label_metrics(assign, dataset.labels))
         history.append(entry)
         epoch += 1
 
     assignments, gamma = _deterministic_assignments(model, dataset, table, config.n_neighbors)
+    if dataset.labels is not None:
+        history[-1].update(_label_metrics(assignments, dataset.labels))
     return FitResult(
         model=model,
         table=table,

@@ -166,6 +166,18 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert (root / "out" / "sweep.csv").read_text() == before
 
+    def test_resume_with_other_worker_count_is_noop(self, workspace, tmp_path):
+        # sweep.workers only changes how cells run, so it is not part of the hash
+        root, cfg = workspace
+        args = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
+                "--set", "sweep.ratios=0", "--set", "sweep.runs=1"]
+        assert main(args) == 0
+        before = (tmp_path / "sweep.csv").read_text()
+        assert main([*args, "--set", "sweep.workers=2"]) == 0
+        after = (tmp_path / "sweep.csv").read_text()
+        body = lambda t: [l for l in t.splitlines() if not l.startswith("# config=")]
+        assert body(after) == body(before)
+
     def test_hash_mismatch_rejected(self, workspace):
         root, cfg = workspace
         rc = main(["sweep", "--config", str(cfg), "--set", "sweep.runs=3"])

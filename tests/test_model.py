@@ -11,6 +11,7 @@ from imvc.model import (
     coherence_loss,
     encode_all,
     encode_view,
+    aggregate_observed,
     fuse_with_imputation,
     impute_all,
     impute_distribution,
@@ -274,6 +275,82 @@ class TestImpute:
         assert (out.var >= view1.var[1:].min() - 1e-12).all()
 
 
+def selected_table(ds, every=1):
+    """InfoTable over every missing position, every ``every``-th selected."""
+    from imvc.scoring import InfoTable
+
+    positions = np.asarray(ds.missing_positions(), np.int64).reshape(-1, 2)
+    selected = np.zeros(len(positions), dtype=bool)
+    selected[::every] = True
+    return InfoTable(positions=positions, scores=np.zeros(len(positions)),
+                     selected=selected)
+
+
+class TestImputeAll:
+    @staticmethod
+    def instance():
+        # view 2 has 4 donors; samples 0, 1 and 9 miss views 1 and 2
+        mask = np.array([
+            [1, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 1],
+            [1, 1, 1], [1, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 0],
+        ])
+        rng = np.random.default_rng(60)
+        views = [rng.normal(size=(10, d)) for d in (5, 4, 3)]
+        ds = MultiViewDataset(views=views, mask=mask)
+        return ds, encode_all(small_model(ds, 60), ds)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_matches_per_position_oracle(self, k):
+        # k=5 exceeds the 4 donors of view 2
+        ds, posts = self.instance()
+        table = selected_table(ds)
+        agg = aggregate_observed(posts, ds.mask)
+        prec = np.zeros_like(agg.mu)
+        num = np.zeros_like(agg.mu)
+        for i, v in table.positions.tolist():
+            post = impute_distribution(ds, table, agg, posts, i, v, k=k)
+            prec[i] += 1.0 / post.var
+            num[i] += post.mu / post.var
+        got_prec, got_num = impute_all(ds, table, posts, k=k)
+        assert (np.bincount(table.positions[:, 0]) == 2).any()
+        np.testing.assert_allclose(got_prec, prec, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_num, num, rtol=1e-12, atol=1e-12)
+
+    def test_unselected_rows_zero(self):
+        ds, posts = self.instance()
+        table = selected_table(ds, every=2)
+        prec, num = impute_all(ds, table, posts, k=3)
+        hit = np.zeros(ds.n_samples, dtype=bool)
+        hit[table.positions[table.selected, 0]] = True
+        assert (prec[hit] > 0).all()
+        assert (prec[~hit] == 0).all() and (num[~hit] == 0).all()
+
+    def test_nothing_selected_all_zero(self):
+        ds, posts = self.instance()
+        table = selected_table(ds)
+        table.selected[:] = False
+        prec, num = impute_all(ds, table, posts)
+        assert prec.shape == (ds.n_samples, posts[0].mu.shape[1])
+        assert not prec.any() and not num.any()
+
+    def test_observed_selection_rejected(self):
+        ds, posts = self.instance()
+        table = selected_table(ds)
+        table.positions[0] = (4, 0)  # sample 4 observes every view
+        with pytest.raises(ValueError, match=r"\(4, 0\) is observed"):
+            impute_all(ds, table, posts)
+
+    def test_dense_fusion_matches_per_sample_fusion(self):
+        ds, posts = self.instance()
+        table = selected_table(ds)
+        model = small_model(ds, 60)
+        fused = aggregate_observed(posts, ds.mask, impute_all(ds, table, posts, k=3))
+        for i in range(ds.n_samples):
+            ref = fuse_with_imputation(model, ds, table, i, posts, k=3)
+            np.testing.assert_allclose(fused.mu[i], ref.mu, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(fused.var[i], ref.var, rtol=1e-12, atol=1e-12)
+
+
 class TestFuse:
     def test_fully_observed_equals_plain_poe(self):
         ds = small_dataset(7, rate=0.0)
@@ -340,18 +417,13 @@ def hidden_kink_margin(model, ds, eps, imputations=None):
     """Distance of every hidden ReLU pre-activation from its kink, along
     the exact forward path of the loss. Central differences are only a
     valid oracle when this margin comfortably exceeds the step size."""
-    from imvc.model import aggregate_observed, aggregate_with_imputations
-
     m = np.inf
     for v in range(model.n_views):
         rows = ds.observed(v)
         if rows.size:
             m = min(m, _net_margin(model.encoders[v], ds.views[v][rows]))
     posts = encode_all(model, ds)
-    if imputations:
-        agg = aggregate_with_imputations(posts, ds.mask, imputations)
-    else:
-        agg = aggregate_observed(posts, ds.mask)
+    agg = aggregate_observed(posts, ds.mask, imputations)
     z = agg.mu + agg.sd * eps
     for v in range(model.n_views):
         rows = ds.observed(v)
@@ -371,26 +443,21 @@ def make_loss_instance(seed, binary_views=(), with_imputations=False, margin=1e-
         eps = rng.standard_normal((ds.n_samples, model.d_z))
         imput = None
         if with_imputations:
-            from imvc.scoring import InfoTable
-
-            positions = ds.missing_positions()
-            table = InfoTable(
-                positions=np.asarray(positions, np.int64).reshape(len(positions), 2),
-                scores=np.zeros(len(positions)),
-                selected=np.ones(len(positions), dtype=bool),
-            )
-            posts = encode_all(model, ds)
-            imput = impute_all(ds, table, posts, k=3)
+            imput = impute_all(ds, selected_table(ds), encode_all(model, ds), k=3)
         if hidden_kink_margin(model, ds, eps, imput) > margin:
             return ds, model, eps, imput
     raise AssertionError("no kink-free instance found")
 
 
-def fd_check_loss(seed, binary_views=(), alpha=0.0, with_imputations=False, h=1e-5):
+def fd_check_loss(seed, binary_views=(), alpha=0.0, with_imputations=False, h=1e-5,
+                  batch=None):
+    """Worst relative error of the analytic gradients against central
+    differences, on ``batch`` (sample indices; default every sample)."""
     ds, model, eps, imput = make_loss_instance(
         seed, binary_views=binary_views, with_imputations=with_imputations
     )
-    batch = np.arange(ds.n_samples)
+    batch = np.arange(ds.n_samples) if batch is None else np.asarray(batch)
+    eps = eps[batch]
 
     def loss():
         terms, _ = loss_and_grads(model, ds, batch, eps, alpha=alpha, imputations=imput)
@@ -425,6 +492,30 @@ class TestLossGradients:
         # imputed experts are constants; gradients must still match
         assert fd_check_loss(34, alpha=5.0, with_imputations=True) <= 1e-4
 
+    def test_minibatch_with_imputations_gradcheck(self):
+        # a strict, unordered sub-batch picks its rows of the dense experts
+        batch = [9, 2, 5, 0, 11, 6, 3]
+        assert fd_check_loss(34, alpha=5.0, with_imputations=True, batch=batch) <= 1e-4
+
+    def test_subbatches_recombine_to_full_batch(self):
+        # every term is a per-sample mean, so sub-batch losses and gradients
+        # weighted by size give the full-batch ones; wrong imputed rows would not
+        ds, model, eps, imput = make_loss_instance(34, with_imputations=True)
+        n = ds.n_samples
+        full, g_full = loss_and_grads(model, ds, np.arange(n), eps, alpha=5.0,
+                                      imputations=imput)
+        order = np.random.default_rng(0).permutation(n)
+        total = 0.0
+        g_sum = [np.zeros_like(g) for g in g_full]
+        for idx in (order[:5], order[5:]):
+            t, g = loss_and_grads(model, ds, idx, eps[idx], alpha=5.0, imputations=imput)
+            total += t.total * idx.size / n
+            for acc, gi in zip(g_sum, g):
+                acc += gi * idx.size / n
+        assert total == pytest.approx(full.total, rel=1e-12)
+        for a, b in zip(g_sum, g_full):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
     def test_degenerate_mixture_is_vanilla_vae(self):
         # K=1 standard-normal prior: categorical KL vanishes and the
         # gaussian KL term is the plain VAE KL(q || N(0, I))
@@ -439,8 +530,6 @@ class TestLossGradients:
         terms, _ = loss_and_grads(model, ds, np.arange(ds.n_samples), eps)
         assert terms.kl_cat == pytest.approx(0.0, abs=1e-12)
         posts = encode_all(model, ds)
-        from imvc.model import aggregate_observed
-
         agg = aggregate_observed(posts, ds.mask)
         std = GaussianPosterior(np.zeros_like(agg.mu), np.ones_like(agg.var))
         expected = float(kl_diag_gaussian(agg, std).mean())

@@ -116,13 +116,20 @@ class TestPretrain:
 
 
 class TestFit:
-    def test_determinism(self):
+    @staticmethod
+    def check_determinism(batch_size):
         ds = masked_synthetic(7)
-        r1 = fit(ds, quick_config(seed=11))
-        r2 = fit(ds, quick_config(seed=11))
+        r1 = fit(ds, quick_config(seed=11, batch_size=batch_size))
+        r2 = fit(ds, quick_config(seed=11, batch_size=batch_size))
         np.testing.assert_array_equal(r1.assignments, r2.assignments)
         np.testing.assert_array_equal(r1.gamma, r2.gamma)
         assert r1.history[-1]["total"] == r2.history[-1]["total"]
+
+    def test_determinism(self):
+        self.check_determinism(batch_size=0)
+
+    def test_determinism_minibatch(self):
+        self.check_determinism(batch_size=7)
 
     def test_gate_closed_rho_zero_equals_imputation_free(self):
         ds = masked_synthetic(8)
