@@ -22,21 +22,17 @@ from .model import (
     GaussianPosterior,
     MixturePrior,
     NonFiniteLossError,
-    coherence_loss,
+    aggregate_observed,
     encode_view,
-    fuse_with_imputation,
-    impute_distribution,
+    fuse,
+    impute_all,
     loss_and_grads,
-    poe_aggregate,
     responsibilities,
     w2_distance,
 )
 from .scoring import (
     InfoTable,
-    SupportSet,
-    build_support_set,
     info_scores,
-    missing_view_similarity,
     pairwise_similarity,
     select_positions,
     view_correlation,

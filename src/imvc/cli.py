@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .data import (
     normalize,
     save_dataset,
 )
-from .metrics import accuracy, ari, nmi, plugin_impute
-from .trainer import TrainConfig, build_pretrained, fit
+from .metrics import plugin_impute
+from .trainer import TrainConfig, build_pretrained, fit, label_metrics
 
 
 DEFAULTS = {
@@ -172,13 +174,17 @@ def _header_lines(cfg):
 
 
 def _write_csv(path, cfg, fieldnames, rows):
+    """Write through a temp file in the same directory, then rename, so the
+    file at ``path`` is always either the old or the new complete CSV."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
         for line in _header_lines(cfg):
             fh.write(line + "\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
+    os.replace(tmp, path)
 
 
 def _read_csv(path):
@@ -244,11 +250,7 @@ def _result_payload(cfg, res, labels):
         "assignments": res.assignments.tolist(),
     }
     if labels is not None:
-        payload["metrics"] = {
-            "acc": accuracy(res.assignments, labels),
-            "nmi": nmi(res.assignments, labels),
-            "ari": ari(res.assignments, labels),
-        }
+        payload["metrics"] = label_metrics(res.assignments, labels)
     return payload
 
 
@@ -259,17 +261,14 @@ def cmd_fit(cfg):
     os.makedirs(out_dir, exist_ok=True)
     res = fit(ds, tc, checkpoint_dir=out_dir)
     result_path = os.path.join(out_dir, "result.json")
+    payload = _result_payload(cfg, res, ds.labels)
     with open(result_path, "w") as fh:
-        json.dump(_result_payload(cfg, res, ds.labels), fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1)
     ckpt_path = os.path.join(out_dir, "model.json")
     M.save_model(res.model, ckpt_path)
     msg = f"wrote {result_path} and {ckpt_path}"
-    if ds.labels is not None:
-        msg += (
-            f" (acc={accuracy(res.assignments, ds.labels):.3f},"
-            f" nmi={nmi(res.assignments, ds.labels):.3f},"
-            f" ari={ari(res.assignments, ds.labels):.3f})"
-        )
+    if "metrics" in payload:
+        msg += " (" + ", ".join(f"{m}={x:.3f}" for m, x in payload["metrics"].items()) + ")"
     print(msg)
     return 0
 
@@ -277,27 +276,57 @@ def cmd_fit(cfg):
 # ---------------------------------------------------------------- sweep
 
 
+def _metric_cells(assignments, labels):
+    return {m: f"{x:.6f}" for m, x in label_metrics(assignments, labels).items()}
+
+
 def _sweep_cell(args):
     """One (eta, rho, alpha, seed) training run; top-level for pickling."""
-    views, mask, labels, K, tc_kw, eta, rho, alpha, seed = args
+    views, mask, labels, K, tc, eta = args
     ds = MultiViewDataset(
         views=[v.copy() for v in views], mask=mask, labels=labels, K=K
     )
-    tc = TrainConfig(**{**tc_kw, "selection_ratio": rho, "alpha": alpha, "seed": seed})
     res = fit(ds, tc)
     return {
         "kind": "run",
         "eta": f"{eta:g}",
-        "rho": f"{rho:g}",
-        "alpha": f"{alpha:g}",
-        "seed": str(seed),
-        "acc": f"{accuracy(res.assignments, labels):.6f}",
-        "nmi": f"{nmi(res.assignments, labels):.6f}",
-        "ari": f"{ari(res.assignments, labels):.6f}",
+        "rho": f"{tc.selection_ratio:g}",
+        "alpha": f"{tc.alpha:g}",
+        "seed": str(tc.seed),
+        **_metric_cells(res.assignments, labels),
     }
 
 
 SWEEP_FIELDS = ["kind", "eta", "rho", "alpha", "seed", "acc", "nmi", "ari"]
+
+
+def _write_sweep(out, cfg, rows):
+    """Sort the run rows in place, write them with per-cell mean/std rows,
+    and return those aggregate rows."""
+    rows.sort(key=lambda r: (float(r["eta"]), float(r["rho"]), float(r["alpha"]), int(r["seed"])))
+    aggregates = []
+    cells = {}
+    for r in rows:
+        cells.setdefault((r["eta"], r["rho"], r["alpha"]), []).append(r)
+    for (eta, rho, alpha), cell in sorted(
+        cells.items(), key=lambda kv: tuple(map(float, kv[0]))
+    ):
+        for kind, fn in (("mean", np.mean), ("std", np.std)):
+            aggregates.append(
+                {
+                    "kind": kind,
+                    "eta": eta,
+                    "rho": rho,
+                    "alpha": alpha,
+                    "seed": "",
+                    **{
+                        m: f"{fn([float(r[m]) for r in cell]):.6f}"
+                        for m in ("acc", "nmi", "ari")
+                    },
+                }
+            )
+    _write_csv(out, cfg, SWEEP_FIELDS, rows + aggregates)
+    return aggregates
 
 
 def cmd_sweep(cfg):
@@ -332,19 +361,6 @@ def cmd_sweep(cfg):
     rows = [r for r in existing if r["kind"] == "run"]
 
     tc_base = train_config(cfg)
-    tc_kw = dict(
-        pretrain_epochs=tc_base.pretrain_epochs,
-        train_epochs=tc_base.train_epochs,
-        batch_size=tc_base.batch_size,
-        pretrain_lr=tc_base.pretrain_lr,
-        train_lr=tc_base.train_lr,
-        n_neighbors=tc_base.n_neighbors,
-        d_z=tc_base.d_z,
-        hidden=tc_base.hidden,
-        likelihoods=tc_base.likelihoods,
-        log_every=tc_base.log_every,
-    )
-
     jobs = []
     for eta in rates:
         mask = generate_mask(
@@ -357,40 +373,19 @@ def cmd_sweep(cfg):
                     key = (f"{eta:g}", f"{rho:g}", f"{alpha:g}", str(seed))
                     if key in done:
                         continue
-                    jobs.append(
-                        (ds.views, mask, ds.labels, ds.K, tc_kw, eta, rho, alpha, seed)
+                    tc = dataclasses.replace(
+                        tc_base, selection_ratio=rho, alpha=alpha, seed=seed
                     )
+                    jobs.append((ds.views, mask, ds.labels, ds.K, tc, eta))
     workers = int(sw["workers"])
-    if jobs:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows.extend(pool.map(_sweep_cell, jobs))
-        else:
-            rows.extend(_sweep_cell(j) for j in jobs)
-
-    rows.sort(key=lambda r: (float(r["eta"]), float(r["rho"]), float(r["alpha"]), int(r["seed"])))
-    aggregates = []
-    cells = {}
-    for r in rows:
-        cells.setdefault((r["eta"], r["rho"], r["alpha"]), []).append(r)
-    for (eta, rho, alpha), cell in sorted(
-        cells.items(), key=lambda kv: tuple(map(float, kv[0]))
-    ):
-        for kind, fn in (("mean", np.mean), ("std", np.std)):
-            aggregates.append(
-                {
-                    "kind": kind,
-                    "eta": eta,
-                    "rho": rho,
-                    "alpha": alpha,
-                    "seed": "",
-                    **{
-                        m: f"{fn([float(r[m]) for r in cell]):.6f}"
-                        for m in ("acc", "nmi", "ari")
-                    },
-                }
-            )
-    _write_csv(out, cfg, SWEEP_FIELDS, rows + aggregates)
+    # every finished cell is persisted at once, in job order, so an
+    # interrupted sweep resumes from the last finished cell
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        for row in (pool.map if parallel else map)(_sweep_cell, jobs):
+            rows.append(row)
+            _write_sweep(out, cfg, rows)
+    aggregates = _write_sweep(out, cfg, rows)
 
     means = {
         (r["eta"], r["rho"], r["alpha"]): float(r["acc"])
@@ -437,13 +432,15 @@ PLUGIN_FIELDS = ["variant", "ratio", "seed", "acc", "nmi", "ari"]
 
 
 def cmd_plugin(cfg):
+    ratio = float(cfg["plugin"]["ratio"])
+    k = int(cfg["plugin"]["neighbors"])
+    runs = int(cfg["plugin"]["runs"])
+    if k < 1 or runs < 1 or not 0.0 <= ratio <= 1.0:
+        raise CliError("plugin needs neighbors >= 1, runs >= 1 and ratio in [0, 1]")
     ds = load_from_config(cfg)
     if ds.labels is None:
         raise CliError("plugin study needs labels to report metrics")
     tc = train_config(cfg)
-    ratio = float(cfg["plugin"]["ratio"])
-    k = int(cfg["plugin"]["neighbors"])
-    runs = int(cfg["plugin"]["runs"])
 
     _, latents, _ = build_pretrained(ds, tc, ds.K)
     corr = scoring.view_correlation(latents, ds)
@@ -459,16 +456,8 @@ def cmd_plugin(cfg):
                 train_config(cfg, seed=seed, selection_ratio=0.0),
                 selective_imputation=False,
             )
-            rows.append(
-                {
-                    "variant": variant,
-                    "ratio": f"{r:g}",
-                    "seed": str(seed),
-                    "acc": f"{accuracy(res.assignments, ds.labels):.6f}",
-                    "nmi": f"{nmi(res.assignments, ds.labels):.6f}",
-                    "ari": f"{ari(res.assignments, ds.labels):.6f}",
-                }
-            )
+            rows.append({"variant": variant, "ratio": f"{r:g}", "seed": str(seed),
+                         **_metric_cells(res.assignments, ds.labels)})
     for variant in dict.fromkeys(r["variant"] for r in rows):
         cell = [r for r in rows if r["variant"] == variant]
         rows_mean = {

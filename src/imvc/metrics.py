@@ -96,6 +96,8 @@ def plugin_impute(dataset, table, k=10):
     applied. Returns (new dataset, imputed flag matrix); observed cells
     and unselected positions are untouched, and filled cells get mask 1.
     """
+    if k < 1:
+        raise ValueError(f"need at least one neighbor, got k={k}")
     mask = dataset.mask
     n, V = mask.shape
     new_views = [X.copy() for X in dataset.views]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import SIGMA_MIN, Adam, Mlp, sigmoid, softplus
+from .nn import SIGMA_MIN, Mlp, sigmoid, softplus
 
 VAR_MIN = SIGMA_MIN**2
 
@@ -68,9 +68,6 @@ class GaussianPosterior:
     @property
     def sd(self):
         return np.sqrt(self.var)
-
-    def row(self, i):
-        return GaussianPosterior(self.mu[i], self.var[i])
 
 
 @dataclass
@@ -241,14 +238,6 @@ def fuse(mus, precs, imputed=None):
     return num * var, var
 
 
-def poe_aggregate(posteriors):
-    """Product of Gaussian experts: summed precisions, precision-weighted mean."""
-    if not posteriors:
-        raise ValueError("need at least one expert")
-    mu, var = fuse([p.mu for p in posteriors], [1.0 / p.var for p in posteriors])
-    return GaussianPosterior(mu=mu, var=var)
-
-
 def aggregate_observed(view_posteriors, mask, imputed=None):
     """PoE over observed views, batched over all samples.
 
@@ -273,58 +262,17 @@ def w2_distance(a, b):
     return np.sqrt((dmu * dmu).sum(axis=-1) + (dsd * dsd).sum(axis=-1))
 
 
-def impute_distribution(dataset, table, aggregated, view_posteriors, i, v, k=10):
-    """Posterior parameters for missing view v of sample i from latent
-    neighbors.
-
-    Neighbors are the k samples observing view v whose fused posteriors
-    are closest to sample i's (2-Wasserstein on the pre-imputation
-    aggregates); softmax(-distance) weights average their view-v means and
-    variances, and the weighted dispersion of their means is added to the
-    variance (imputation uncertainty).
-    """
-    if table is not None:
-        sel = dict(zip(map(tuple, table.positions.tolist()), table.selected))
-        if not sel.get((int(i), int(v)), False):
-            raise ValueError(f"position ({i}, {v}) was not selected for imputation")
-    donors = np.where(dataset.mask[:, v] == 1)[0]
-    if donors.size == 0:
-        raise ValueError(f"no sample observes view {v}; cannot impute")
-    dist = w2_distance(aggregated.row(i), aggregated.row(donors))
-    k = min(int(k), donors.size)
-    order = np.argsort(dist, kind="stable")[:k]
-    nearest = donors[order]
-    dn = dist[order]
-    # softmax over negated distances
-    e = np.exp(-(dn - dn.min()))
-    w = e / e.sum()
-    mu_nb = view_posteriors[v].mu[nearest]
-    var_nb = view_posteriors[v].var[nearest]
-    mu_hat = w @ mu_nb
-    var_hat = w @ var_nb + w @ (mu_nb - mu_hat) ** 2
-    return GaussianPosterior(mu=mu_hat, var=var_hat)
-
-
-def fuse_with_imputation(model, dataset, table, i, view_posteriors, k=10):
-    """Fused posterior for sample i including selected imputed views."""
-    agg_all = aggregate_observed(view_posteriors, dataset.mask)
-    experts = [view_posteriors[v].row(i) for v in dataset.observed_views(i)]
-    if table is not None:
-        for v in table.selected_by_sample().get(int(i), []):
-            experts.append(
-                impute_distribution(dataset, table, agg_all, view_posteriors, i, v, k=k)
-            )
-    return poe_aggregate(experts)
-
-
 def impute_all(dataset, table, view_posteriors, k=10):
     """Dense imputed experts for every selected missing position.
 
-    Neighbor search runs on the pre-imputation fused posteriors, so the
-    result is a pure function of the current encoder state. Equivalent to
-    calling impute_distribution per position, but batched per view: one
-    distance matrix from the querying samples to all donors, a top-k
-    selection per row, and softmax-weighted neighbor statistics. Returns
+    For a missing view v of sample i, the neighbors are the k samples
+    observing view v whose fused posteriors are closest to sample i's
+    (``w2_distance`` on the pre-imputation aggregates, so the result is a
+    pure function of the current encoder state); softmax(-distance)
+    weights average their view-v means and variances, and the weighted
+    dispersion of their means is added to the variance (imputation
+    uncertainty). Batched per view: one distance matrix from the querying
+    samples to all donors and a stable top-k per row. Returns
     ``(prec, num)``, two (N, d_z) arrays: prec[i] sums 1/var_hat and
     num[i] sums mu_hat/var_hat over the views selected for sample i, in
     ascending view order; rows with no selected view are zero.
@@ -340,16 +288,14 @@ def impute_all(dataset, table, view_posteriors, k=10):
         i, v = pos[observed][0].tolist()
         raise ValueError(f"position ({i}, {v}) is observed; cannot impute it")
     agg = aggregate_observed(view_posteriors, dataset.mask)
-    sd = agg.sd
 
     for v in np.unique(pos[:, 1]).tolist():
         donors = np.where(dataset.mask[:, v] == 1)[0]
         if donors.size == 0:
             raise ValueError(f"no sample observes view {v}; cannot impute")
         q = np.unique(pos[pos[:, 1] == v, 0])
-        dmu = agg.mu[q][:, None, :] - agg.mu[donors][None, :, :]
-        dsd = sd[q][:, None, :] - sd[donors][None, :, :]
-        dist = np.sqrt((dmu * dmu).sum(-1) + (dsd * dsd).sum(-1))  # (nq, nd)
+        query = GaussianPosterior(agg.mu[q][:, None, :], agg.var[q][:, None, :])
+        dist = w2_distance(query, GaussianPosterior(agg.mu[donors], agg.var[donors]))
         kk = min(int(k), donors.size)
         # stable top-k per row (full argsort keeps ties deterministic)
         order = np.argsort(dist, axis=1, kind="stable")[:, :kk]
@@ -387,25 +333,6 @@ def responsibilities(prior, z):
     g = np.exp(logits)
     g /= g.sum(axis=1, keepdims=True)
     return g[0] if single else g
-
-
-def kl_diag_gaussian(a, b):
-    """KL(N(mu_a, var_a) || N(mu_b, var_b)), summed over dimensions."""
-    return 0.5 * (
-        np.log(b.var / a.var) + (a.var + (a.mu - b.mu) ** 2) / b.var - 1.0
-    ).sum(axis=-1)
-
-
-def coherence_loss(aggregated, view_posteriors):
-    """Mean KL from the fused posterior to each contributing view posterior.
-
-    Zero when every view already agrees with the fusion; always
-    non-negative.
-    """
-    if not view_posteriors:
-        raise ValueError("need at least one view posterior")
-    total = sum(kl_diag_gaussian(aggregated, p) for p in view_posteriors)
-    return float(total) / len(view_posteriors)
 
 
 @dataclass

@@ -5,24 +5,23 @@ against central finite differences to tight tolerances. Networks are small
 fixed-architecture perceptrons: ReLU hidden layers and a configurable set
 of output heads applied to column slices of the final linear layer:
 
-    identity  -- raw linear output (means, logits)
+    identity  -- raw linear output (means; Bernoulli decoders emit logits)
     softplus  -- softplus(a) + SIGMA_MIN, strictly positive (scale outputs)
-    logistic  -- sigmoid(a) in (0, 1) (Bernoulli means)
 
 Forward passes cache what backward needs; backward returns gradients in
-the same flat order as ``Mlp.parameters()``.
+the same flat order as ``Mlp.parameters()``. ``to_dict``/``from_dict``
+serialize a network for the model checkpoint of ``model.save_model``.
 """
 
 from __future__ import annotations
 
-import json
 import numpy as np
 
 # Floor added to every softplus head output; squaring it gives the variance
 # floor used downstream.
 SIGMA_MIN = 1e-4
 
-HEAD_KINDS = ("identity", "softplus", "logistic")
+HEAD_KINDS = ("identity", "softplus")
 
 
 def relu(x):
@@ -48,19 +47,15 @@ def _apply_head(kind, a):
         return a
     if kind == "softplus":
         return softplus(a) + SIGMA_MIN
-    if kind == "logistic":
-        return sigmoid(a)
     raise ValueError(f"unknown head kind {kind!r}")
 
 
-def _head_grad(kind, a, y):
+def _head_grad(kind, a):
     """d(head output)/d(pre-activation), elementwise."""
     if kind == "identity":
         return np.ones_like(a)
     if kind == "softplus":
         return sigmoid(a)
-    if kind == "logistic":
-        return y * (1.0 - y)
     raise ValueError(f"unknown head kind {kind!r}")
 
 
@@ -137,21 +132,20 @@ class Mlp:
         Y = np.empty_like(a_out)
         for kind, sl in self.head_slices():
             Y[:, sl] = _apply_head(kind, a_out[:, sl])
-        cache = (inputs, a_out, Y)
-        return Y, cache
+        return Y, (inputs, a_out)
 
     def backward(self, cache, d_out):
         """Backprop a gradient w.r.t. the head outputs.
 
         Returns (grads, dX) where grads aligns with ``parameters()``.
         """
-        inputs, a_out, Y = cache
+        inputs, a_out = cache
         d_out = np.asarray(d_out, dtype=np.float64)
         if d_out.shape != a_out.shape:
             raise ValueError("gradient shape does not match cached forward")
         da = np.empty_like(d_out)
         for kind, sl in self.head_slices():
-            da[:, sl] = d_out[:, sl] * _head_grad(kind, a_out[:, sl], Y[:, sl])
+            da[:, sl] = d_out[:, sl] * _head_grad(kind, a_out[:, sl])
 
         grads = [None] * (2 * self.n_layers)
         for l in range(self.n_layers - 1, -1, -1):
@@ -224,22 +218,3 @@ class Adam:
         self.t = state["t"]
         self.m = [a.copy() for a in state["m"]]
         self.v = [a.copy() for a in state["v"]]
-
-
-CHECKPOINT_MAGIC = "imvc-mlp-v1"
-
-
-def save_mlp(net, path):
-    """Write a versioned JSON checkpoint of a single network."""
-    payload = {"magic": CHECKPOINT_MAGIC}
-    payload.update(net.to_dict())
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_mlp(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
-    return Mlp.from_dict(payload)

@@ -19,10 +19,10 @@ missing-view similarity approximated by the correlation-weighted average
 
     sim_ij^v = sum_u sim_ij^u corr[u,v] / sum_u corr[u,v]    (u co-observed)
 
-the score is
+the score, with shared[j,u] marking views that both i and j observe, is
 
     Info(i, v) = sum_{j in support} ( sim_ij^v + sum_{u != v} sim_ij^u
-                                      * corr[u,v] * valid[j,u] ).
+                                      * corr[u,v] * shared[j,u] ).
 
 Positions are then selected by keeping the top fraction of scores.
 """
@@ -36,20 +36,6 @@ import numpy as np
 
 CORR_FLOOR = 1e-3
 CCA_RIDGE = 1e-4
-
-
-@dataclass
-class SupportSet:
-    """Support samples for one missing position.
-
-    valid[r, u] marks which cells of member r contribute: the target view
-    always does; another view only if both the member and the target
-    sample observe it.
-    """
-
-    target: tuple[int, int]
-    members: np.ndarray  # sample indices, ascending
-    valid: np.ndarray  # (len(members), V) bool
 
 
 @dataclass
@@ -82,27 +68,6 @@ class InfoTable:
         if idx.size == 0:
             raise KeyError(f"({i}, {v}) is not a missing position")
         return float(self.scores[idx[0]])
-
-    def selected_by_sample(self):
-        """dict sample -> list of selected missing views."""
-        out = {}
-        for (i, v), s in zip(self.positions.tolist(), self.selected):
-            if s:
-                out.setdefault(int(i), []).append(int(v))
-        return out
-
-
-def build_support_set(dataset, i, v):
-    """Support samples for missing position (i, v)."""
-    mask = dataset.mask
-    if mask[i, v] != 0:
-        raise ValueError(f"position ({i}, {v}) is observed; support sets exist only for missing positions")
-    has_target = mask[:, v] == 1
-    overlap = (mask & mask[i][None, :]).any(axis=1)
-    members = np.where(has_target & overlap)[0]
-    valid = (mask[members] & mask[i][None, :]).astype(bool)
-    valid[:, v] = True  # members observe the target view by construction
-    return SupportSet(target=(int(i), int(v)), members=members, valid=valid)
 
 
 def pairwise_similarity(dataset, u, block_size=4096):
@@ -211,24 +176,6 @@ def view_correlation(latents, dataset, ridge=CCA_RIDGE, floor=CORR_FLOOR):
     return corr
 
 
-def missing_view_similarity(i, j, v, sims, corr, dataset):
-    """Approximate sim_ij in the missing view v via co-observed views.
-
-    Correlation-weighted average of the similarities in views observed by
-    both samples; the weights normalize to one.
-    """
-    mask = dataset.mask
-    shared = np.where((mask[i] == 1) & (mask[j] == 1))[0]
-    if shared.size == 0:
-        raise ValueError(f"samples {i} and {j} share no observed view")
-    num = 0.0
-    den = 0.0
-    for u in shared:
-        num += sims[u][i, j] * corr[u, v]
-        den += corr[u, v]
-    return num / den
-
-
 def info_scores(dataset, latents=None, corr=None, sims=None):
     """Score every missing position; returns an InfoTable with nothing
     selected yet.
@@ -254,11 +201,11 @@ def info_scores(dataset, latents=None, corr=None, sims=None):
     scores = np.zeros(len(positions))
     maskb = mask.astype(bool)
     for p, (i, v) in enumerate(positions):
-        support = build_support_set(dataset, i, v)
-        members = support.members
+        shared = maskb & maskb[i][None, :]  # (N, V); column v is False
+        members = np.where(maskb[:, v] & shared.any(axis=1))[0]
         if members.size == 0:
             continue
-        shared = maskb[members] & maskb[i][None, :]  # (m, V); column v is False
+        shared = shared[members]
         sim_rows = np.stack([sims[u][i, members] for u in range(V)], axis=1)
         cross = sim_rows * corr[None, :, v] * shared
         # exactly rounded per-member sums keep the score independent of

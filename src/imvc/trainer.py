@@ -50,6 +50,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.train_epochs <= 0 or self.pretrain_epochs < 0:
             raise ValueError("epoch counts must be positive")
+        if self.batch_size < 0 or self.checkpoint_every < 0:
+            raise ValueError("batch_size and checkpoint_every must be non-negative")
+        if self.log_every < 1:
+            raise ValueError("log_every must be at least 1")
         if not 0.0 <= self.selection_ratio <= 1.0:
             raise ValueError("selection ratio must lie in [0, 1]")
         if self.alpha < 0:
@@ -301,7 +305,8 @@ def _deterministic_assignments(model, dataset, table, k):
     return gamma.argmax(axis=1), gamma
 
 
-def _label_metrics(assign, labels):
+def label_metrics(assign, labels):
+    """acc/nmi/ari of hard assignments against the true labels."""
     return {"acc": accuracy(assign, labels), "nmi": nmi(assign, labels),
             "ari": ari(assign, labels)}
 
@@ -393,13 +398,13 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
         if (dataset.labels is not None and epoch % config.log_every == 0
                 and epoch < config.train_epochs - 1):
             assign, _ = _deterministic_assignments(model, dataset, table, config.n_neighbors)
-            entry.update(_label_metrics(assign, dataset.labels))
+            entry.update(label_metrics(assign, dataset.labels))
         history.append(entry)
         epoch += 1
 
     assignments, gamma = _deterministic_assignments(model, dataset, table, config.n_neighbors)
     if dataset.labels is not None:
-        history[-1].update(_label_metrics(assignments, dataset.labels))
+        history[-1].update(label_metrics(assignments, dataset.labels))
     return FitResult(
         model=model,
         table=table,

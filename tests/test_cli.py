@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import imvc.cli
 from imvc.cli import config_hash, main, read_config
 from imvc.svg import grouped_bar_chart, line_chart
 
@@ -178,6 +179,33 @@ class TestSweep:
         body = lambda t: [l for l in t.splitlines() if not l.startswith("# config=")]
         assert body(after) == body(before)
 
+    def test_interrupted_sweep_keeps_finished_cells(self, workspace, tmp_path,
+                                                    monkeypatch):
+        root, cfg = workspace
+        args = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
+                "--set", "sweep.ratios=0, 1", "--set", "sweep.runs=1"]
+        real_fit = imvc.cli.fit
+        calls = []
+        fail_on = 2  # the second cell's fit raises
+
+        def fit(dataset, config, **kw):
+            calls.append(config.selection_ratio)
+            if fail_on == len(calls):
+                raise RuntimeError("interrupted")
+            return real_fit(dataset, config, **kw)
+
+        monkeypatch.setattr(imvc.cli, "fit", fit)
+        assert main(args) == 2
+        runs = [r for r in read_rows(tmp_path / "sweep.csv") if r["kind"] == "run"]
+        assert [(r["rho"], r["seed"]) for r in runs] == [("0", "0")]
+        assert not (tmp_path / "sweep.csv.tmp").exists()
+        calls.clear()
+        fail_on = None
+        assert main(args) == 0
+        assert calls == [1.0]
+        runs = [r for r in read_rows(tmp_path / "sweep.csv") if r["kind"] == "run"]
+        assert [r["rho"] for r in runs] == ["0", "1"]
+
     def test_hash_mismatch_rejected(self, workspace):
         root, cfg = workspace
         rc = main(["sweep", "--config", str(cfg), "--set", "sweep.runs=3"])
@@ -245,6 +273,28 @@ class TestExitCodes:
 
     def test_missing_config(self):
         assert main(["fit", "--config", "no-such.ini"]) == 1
+
+    @pytest.mark.parametrize("command,setting", [
+        ("fit", "train.log_every=0"),
+        ("fit", "train.batch_size=-1"),
+        ("fit", "train.checkpoint_every=-1"),
+        ("plugin", "plugin.neighbors=0"),
+        ("plugin", "plugin.runs=0"),
+        ("plugin", "plugin.ratio=1.5"),
+    ])
+    def test_out_of_range_setting_rejected_before_training(
+        self, workspace, tmp_path, monkeypatch, command, setting
+    ):
+        root, cfg = workspace
+
+        def no_training(*args, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(imvc.cli, "build_pretrained", no_training)
+        monkeypatch.setattr(imvc.cli, "fit", no_training)
+        rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path),
+                   "--set", setting])
+        assert rc == 1
 
     def test_bad_subcommand_usage(self, capsys):
         assert main(["gen-mask", "--out", "x.csv"]) == 1

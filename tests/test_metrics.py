@@ -195,3 +195,9 @@ class TestPluginImpute:
         expected = (5.0 + 9.0) / 2
         assert out.views[1][0, 0] == pytest.approx(expected)
         assert out.views[1][1, 0] == pytest.approx(expected)
+
+    def test_zero_neighbors_rejected(self):
+        # k=0 would average an empty donor slice into NaN fills
+        ds = self.hand_dataset()
+        with pytest.raises(ValueError, match="at least one neighbor"):
+            plugin_impute(ds, table_for(ds), k=0)

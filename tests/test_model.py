@@ -3,27 +3,24 @@ import pytest
 
 from imvc.data import MultiViewDataset
 from imvc.model import (
-    VAR_MIN,
     DmgmmModel,
     GaussianPosterior,
     MixturePrior,
     NonFiniteLossError,
-    coherence_loss,
     encode_all,
     encode_view,
     aggregate_observed,
-    fuse_with_imputation,
+    fuse,
     impute_all,
-    impute_distribution,
-    kl_diag_gaussian,
     load_model,
     loss_and_grads,
-    poe_aggregate,
     responsibilities,
     save_model,
     w2_distance,
 )
 from imvc.nn import SIGMA_MIN
+
+from oracles import coherence_loss, fuse_with_imputation, impute_distribution, kl_diag_gaussian
 
 
 def rel_err(a, b):
@@ -45,6 +42,16 @@ def small_dataset(seed, n=12, dims=(5, 4, 3), rate=0.3, binary_views=()):
         if mask[:, v].sum() == 0:
             mask[rng.integers(n), v] = 1
     return MultiViewDataset(views=views, mask=mask)
+
+
+def poe(experts):
+    """``fuse`` over a list of posteriors, as one posterior."""
+    mu, var = fuse([p.mu for p in experts], [1.0 / p.var for p in experts])
+    return GaussianPosterior(mu, var)
+
+
+def row(post, i):
+    return GaussianPosterior(post.mu[i], post.var[i])
 
 
 def small_model(dataset, seed, d_z=3, K=3, hidden=(8, 6), binary_views=()):
@@ -103,21 +110,21 @@ class TestEncode:
 class TestPoe:
     def test_single_expert_unchanged(self):
         p = GaussianPosterior(np.array([1.0, -2.0]), np.array([0.5, 2.0]))
-        out = poe_aggregate([p])
+        out = poe([p])
         np.testing.assert_allclose(out.mu, p.mu, rtol=1e-15)
         np.testing.assert_allclose(out.var, p.var, rtol=1e-15)
 
     def test_equal_precision_average(self):
         a = GaussianPosterior(np.array([0.0]), np.array([1.0]))
         b = GaussianPosterior(np.array([2.0]), np.array([1.0]))
-        out = poe_aggregate([a, b])
+        out = poe([a, b])
         assert out.mu[0] == pytest.approx(1.0)
         assert out.var[0] == pytest.approx(0.5)
 
     def test_hand_computed_two_experts(self):
         a = GaussianPosterior(np.array([0.0]), np.array([1.0]))
         b = GaussianPosterior(np.array([3.0]), np.array([4.0]))
-        out = poe_aggregate([a, b])
+        out = poe([a, b])
         assert out.mu[0] == pytest.approx(0.6)
         assert out.var[0] == pytest.approx(0.8)
 
@@ -129,7 +136,7 @@ class TestPoe:
             mus = rng.normal(size=(k, d)) * 3
             vars_ = rng.uniform(1e-4, 100.0, size=(k, d))
             experts = [GaussianPosterior(m, v) for m, v in zip(mus, vars_)]
-            out = poe_aggregate(experts)
+            out = poe(experts)
             np.testing.assert_allclose(
                 1.0 / out.var, (1.0 / vars_).sum(axis=0), rtol=1e-12
             )
@@ -137,10 +144,6 @@ class TestPoe:
             np.testing.assert_allclose(out.mu, expected_mu, rtol=1e-12, atol=1e-12)
             assert (out.mu >= mus.min(axis=0) - 1e-12).all()
             assert (out.mu <= mus.max(axis=0) + 1e-12).all()
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            poe_aggregate([])
 
 
 class TestW2:
@@ -343,10 +346,9 @@ class TestImputeAll:
     def test_dense_fusion_matches_per_sample_fusion(self):
         ds, posts = self.instance()
         table = selected_table(ds)
-        model = small_model(ds, 60)
         fused = aggregate_observed(posts, ds.mask, impute_all(ds, table, posts, k=3))
         for i in range(ds.n_samples):
-            ref = fuse_with_imputation(model, ds, table, i, posts, k=3)
+            ref = fuse_with_imputation(ds, table, i, posts, k=3)
             np.testing.assert_allclose(fused.mu[i], ref.mu, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(fused.var[i], ref.var, rtol=1e-12, atol=1e-12)
 
@@ -356,19 +358,19 @@ class TestFuse:
         ds = small_dataset(7, rate=0.0)
         model = small_model(ds, 7)
         posts = encode_all(model, ds)
-        fused = fuse_with_imputation(model, ds, None, 0, posts)
-        plain = poe_aggregate([p.row(0) for p in posts])
-        np.testing.assert_array_equal(fused.mu, plain.mu)
-        np.testing.assert_array_equal(fused.var, plain.var)
+        fused = aggregate_observed(posts, ds.mask)
+        plain = poe([row(p, 0) for p in posts])
+        np.testing.assert_array_equal(fused.mu[0], plain.mu)
+        np.testing.assert_array_equal(fused.var[0], plain.var)
 
     def test_no_selection_equals_observed_poe(self):
         ds = small_dataset(8, rate=0.4)
         model = small_model(ds, 8)
         posts = encode_all(model, ds)
         i = int(np.where(ds.mask.sum(axis=1) < ds.n_views)[0][0])
-        fused = fuse_with_imputation(model, ds, None, i, posts)
-        plain = poe_aggregate([posts[v].row(i) for v in ds.observed_views(i)])
-        np.testing.assert_array_equal(fused.mu, plain.mu)
+        fused = aggregate_observed(posts, ds.mask)
+        plain = poe([row(posts[v], i) for v in ds.observed_views(i)])
+        np.testing.assert_array_equal(fused.mu[i], plain.mu)
 
     def test_observed_plus_imputed_matches_hand_poe(self):
         mask = np.array([[1, 0], [1, 1], [1, 1]])
@@ -376,7 +378,7 @@ class TestFuse:
         agg = GaussianPosterior(np.array([[0.0], [1.0], [-1.0]]), np.ones((3, 1)))
         view1 = GaussianPosterior(np.array([[0.0], [2.0], [2.0]]), np.full((3, 1), 0.5))
         imputed = impute_distribution(ds, None, agg, [agg, view1], 0, 1, k=2)
-        two = poe_aggregate([agg.row(0), imputed])
+        two = poe([row(agg, 0), imputed])
         expected_prec = 1.0 / agg.var[0] + 1.0 / imputed.var
         np.testing.assert_allclose(1.0 / two.var, expected_prec, rtol=1e-12)
 
@@ -388,7 +390,7 @@ class TestCoherence:
 
     def test_single_view_self_kl_zero(self):
         p = GaussianPosterior(np.array([0.3]), np.array([0.9]))
-        assert coherence_loss(poe_aggregate([p]), [p]) == pytest.approx(0.0, abs=1e-12)
+        assert coherence_loss(poe([p]), [p]) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_gaussian_kl(self):
         agg = GaussianPosterior(np.array([0.0]), np.array([0.5]))
@@ -396,6 +398,25 @@ class TestCoherence:
         expected = 0.5 * (np.log(1.0 / 0.5) + 0.5 / 1.0 + 1.0 - 1.0)
         assert coherence_loss(agg, [view]) == pytest.approx(expected)
         assert kl_diag_gaussian(agg, view) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("with_imputations", [False, True])
+    def test_loss_term_matches_per_sample_oracle(self, with_imputations):
+        # the coherence term of the loss is the batch mean of the per-sample
+        # KL(fused || view) averaged over each sample's observed views
+        for seed in range(5):
+            ds, model, eps, imput = make_loss_instance(
+                70 + seed, with_imputations=with_imputations
+            )
+            terms, _ = loss_and_grads(model, ds, np.arange(ds.n_samples), eps,
+                                      alpha=5.0, imputations=imput)
+            posts = encode_all(model, ds)
+            table = selected_table(ds) if with_imputations else None
+            per_sample = [
+                coherence_loss(fuse_with_imputation(ds, table, i, posts, k=3),
+                               [row(posts[v], i) for v in ds.observed_views(i)])
+                for i in range(ds.n_samples)
+            ]
+            assert terms.coherence == pytest.approx(np.mean(per_sample), rel=1e-12)
 
 
 # ---------------- finite differences through the full loss ----------------

@@ -6,10 +6,8 @@ import pytest
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic
 from imvc.scoring import (
     CORR_FLOOR,
-    build_support_set,
     first_canonical_correlation,
     info_scores,
-    missing_view_similarity,
     pairwise_similarity,
     select_positions,
     view_correlation,
@@ -70,6 +68,15 @@ def info_scores_oracle(dataset, sims, corr):
     return out
 
 
+def unit_score(ds, i, v, sims=None):
+    """Info(i, v) with every similarity and correlation 1 unless given:
+    each support member then adds 1 (its intra term) plus 1 per view it
+    shares with sample i."""
+    n, V = ds.mask.shape
+    sims = sims if sims is not None else [np.ones((n, n)) for _ in range(V)]
+    return info_scores(ds, corr=np.ones((V, V)), sims=sims).score_of(i, v)
+
+
 class TestSupportSet:
     def test_single_missing_cell_everyone_qualifies(self):
         rng = np.random.default_rng(0)
@@ -77,43 +84,36 @@ class TestSupportSet:
         mask = np.ones((6, 2), dtype=int)
         mask[2, 1] = 0
         ds = MultiViewDataset(views=views, mask=mask)
-        s = build_support_set(ds, 2, 1)
-        assert s.members.tolist() == [0, 1, 3, 4, 5]
-        assert s.valid.all()
+        # the other 5 samples, each sharing view 0
+        assert unit_score(ds, 2, 1) == 5 * 2
 
     def test_member_must_observe_target_view(self):
         mask = np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]])
         views = [np.zeros((3, 1))] * 3
         ds = MultiViewDataset(views=views, mask=mask)
-        s = build_support_set(ds, 0, 1)
-        # sample 1 misses view 1 -> excluded even though it overlaps with 0
-        assert s.members.tolist() == [2]
+        # sample 1 misses view 1 -> excluded even though it overlaps with 0;
+        # sample 2 alone shares views 0 and 2
+        assert unit_score(ds, 0, 1) == 1 + 2
 
     def test_no_overlap_excluded(self):
         # sample 1 observes only the target view v=1; sample 0 observes only view 0
         mask = np.array([[1, 0], [0, 1], [1, 1]])
         views = [np.zeros((3, 1))] * 2
         ds = MultiViewDataset(views=views, mask=mask)
-        s = build_support_set(ds, 0, 1)
-        assert s.members.tolist() == [2]
+        assert unit_score(ds, 0, 1) == 1 + 1  # sample 2 only
 
     def test_valid_mask_semantics(self):
         mask = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
         views = [np.zeros((3, 1))] * 3
         ds = MultiViewDataset(views=views, mask=mask)
-        s = build_support_set(ds, 0, 2)  # target (0, 2)
-        # members: need view 2 observed and overlap with {0,1}: samples 1, 2
-        assert s.members.tolist() == [1, 2]
-        # member 1 observes views {0,2}; shares view 0 with sample 0
-        assert s.valid[0].tolist() == [True, False, True]
-        # member 2 observes views {1,2}; shares view 1
-        assert s.valid[1].tolist() == [False, True, True]
-
-    def test_observed_position_rejected(self):
-        ds = random_incomplete(1)
-        i, v = np.argwhere(ds.mask == 1)[0]
-        with pytest.raises(ValueError):
-            build_support_set(ds, int(i), int(v))
+        # target (0, 2); members need view 2 and overlap with {0, 1}: 1 and 2
+        sims = [np.zeros((3, 3)) for _ in range(3)]
+        sims[0][0, 1] = 0.1  # member 1 shares view 0: counts
+        sims[1][0, 1] = 0.2  # member 1 misses view 1: must not count
+        sims[0][0, 2] = 0.4  # member 2 misses view 0: must not count
+        sims[1][0, 2] = 0.8  # member 2 shares view 1: counts
+        # each counted similarity enters as intra term and as cross term
+        assert unit_score(ds, 0, 2, sims) == pytest.approx(2 * 0.1 + 2 * 0.8)
 
 
 class TestPairwiseSimilarity:
@@ -223,10 +223,17 @@ class TestMissingViewSimilarity:
         s[1][0, 1] = s[1][1, 0] = val02
         return s
 
+    def intra_term(self, ds, sims, corr):
+        """Member 1's intra term in Info(0, 2): the score less member 1's
+        cross-view terms (member 2 has zero similarities)."""
+        shared = np.where(ds.mask[0] & ds.mask[1])[0]
+        cross = sum(sims[u][0, 1] * corr[u, 2] for u in shared)
+        return info_scores(ds, corr=corr, sims=sims).score_of(0, 2) - cross
+
     def test_single_shared_view(self):
         mask = np.array([[1, 0, 0], [1, 1, 1], [1, 1, 1]])
         ds = MultiViewDataset(views=[np.zeros((3, 1))] * 3, mask=mask)
-        out = missing_view_similarity(0, 1, 2, self.sims(), self.corr(), ds)
+        out = self.intra_term(ds, self.sims(), self.corr())
         assert out == pytest.approx(0.2)  # weights normalize away
 
     def test_equal_corr_unweighted_mean(self):
@@ -235,7 +242,7 @@ class TestMissingViewSimilarity:
         corr = np.eye(3)
         corr[0, 2] = corr[2, 0] = 0.5
         corr[1, 2] = corr[2, 1] = 0.5
-        out = missing_view_similarity(0, 1, 2, self.sims(0.2, 0.6), corr, ds)
+        out = self.intra_term(ds, self.sims(0.2, 0.6), corr)
         assert out == pytest.approx(0.4)
 
     def test_weighted_average(self):
@@ -244,14 +251,8 @@ class TestMissingViewSimilarity:
         corr = np.eye(3)
         corr[0, 2] = corr[2, 0] = 0.9
         corr[1, 2] = corr[2, 1] = 0.3
-        out = missing_view_similarity(0, 1, 2, self.sims(0.2, 0.6), corr, ds)
+        out = self.intra_term(ds, self.sims(0.2, 0.6), corr)
         assert out == pytest.approx((0.2 * 0.9 + 0.6 * 0.3) / 1.2)  # = 0.3
-
-    def test_no_shared_view_raises(self):
-        mask = np.array([[1, 0, 0], [0, 1, 1]])
-        ds = MultiViewDataset(views=[np.zeros((2, 1))] * 3, mask=mask)
-        with pytest.raises(ValueError):
-            missing_view_similarity(0, 1, 2, self.sims(), self.corr(), ds)
 
 
 class TestInfoScores:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic, normalize
-from imvc.model import VAR_MIN, DmgmmModel
+from imvc.model import VAR_MIN, DmgmmModel, encode_all, load_model
 from imvc.trainer import TrainConfig, fit, init_prior, kmeans_pp, pretrain
 
 
@@ -29,6 +29,16 @@ def quick_config(seed=0, **kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "bad", [dict(log_every=0), dict(batch_size=-1), dict(checkpoint_every=-1)],
+        ids=["log_every", "batch_size", "checkpoint_every"],
+    )
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            quick_config(**bad)
 
 
 class TestKmeans:
@@ -178,6 +188,16 @@ class TestFit:
             res = fit(ds, quick_config(seed=seed))
             assert np.isfinite(res.history[-1]["total"])
             assert np.isfinite(res.gamma).all()
+
+    def test_periodic_checkpoints(self, tmp_path):
+        ds = masked_synthetic(16)
+        res = fit(ds, quick_config(seed=5, train_epochs=2, checkpoint_every=1),
+                  checkpoint_dir=tmp_path)
+        assert (tmp_path / "checkpoint_1.json").exists()
+        last = load_model(tmp_path / "checkpoint_2.json")
+        for a, b in zip(encode_all(last, ds), encode_all(res.model, ds)):
+            np.testing.assert_array_equal(a.mu, b.mu)
+            np.testing.assert_array_equal(a.var, b.var)
 
     def test_missing_K_raises(self):
         ds = masked_synthetic(13)
