@@ -262,20 +262,85 @@ def w2_distance(a, b):
     return np.sqrt((dmu * dmu).sum(axis=-1) + (dsd * dsd).sum(axis=-1))
 
 
+# Query rows per block of the neighbour search. A block holds a few
+# (block, donors) arrays, so one call needs O(block * N) memory.
+QUERY_BLOCK = 256
+
+# squared feature norms below this keep every GEMM-form value finite; a
+# block with a larger (or NaN) norm re-ranks every donor
+_SQ_MAX = np.finfo(np.float64).max / 8
+
+
+def _nearest_donors(agg, feats, sq, q, donors, k):
+    """The k donors nearest to each query row by ``w2_distance``.
+
+    ``feats`` is ``[mu, sd]`` of the aggregates ``agg`` and ``sq`` its
+    squared row norms. Returns ``(nb, dist)``, two (len(q), k) arrays of
+    donor sample indices and their distances: each row is what a stable
+    argsort of the full query x donor distance matrix keeps (ascending
+    distance, ties to the lower donor index), bit for bit. Per block of
+    query rows, one GEMM gives W2^2 = |f_q|^2 + |f_d|^2 - 2 f_q.f_d up to
+    rounding; only donors within the rounding bound of a row's k-th value
+    are re-ranked with ``w2_distance``.
+    """
+    fd, sq_d = feats[donors], sq[donors]
+    usable = k < donors.size and bool((sq_d < _SQ_MAX).all())
+    # Candidate margin. With u = eps/2, m = 2*d_z features and
+    # n = |f_q|^2 + |f_d|^2, the GEMM form is within (2m + 4) u n of the
+    # true W2^2, and the sum of squares inside w2_distance within
+    # (m + 6) u n; a donor whose w2_distance rounds equal to a smaller
+    # one's lies at most 8 u n above it. tol = tol_scale * n is twice the
+    # sum of these, with n taken at the row's largest donor norm. The k
+    # donors with the smallest approximate values have exact values within
+    # tol of them, so the k-th exact value is at most the k-th approximate
+    # one + tol, and every donor of the stable top k has an approximate
+    # value of at most the k-th one + 2 tol.
+    tol_scale = (3 * feats.shape[1] + 18) * np.finfo(np.float64).eps
+    nb = np.empty((q.size, k), dtype=np.int64)
+    dist = np.empty((q.size, k))
+    for lo in range(0, q.size, QUERY_BLOCK):
+        qb = q[lo:lo + QUERY_BLOCK]
+        cand = np.broadcast_to(donors, (qb.size, donors.size))
+        if usable and (sq[qb] < _SQ_MAX).all():
+            approx = feats[qb] @ fd.T
+            approx *= -2.0
+            approx += sq[qb][:, None]
+            approx += sq_d
+            part = np.argpartition(approx, k - 1, axis=1)
+            bound = approx[np.arange(qb.size), part[:, k - 1]]
+            bound += 2.0 * tol_scale * (sq[qb] + sq_d.max())
+            c = int((approx <= bound[:, None]).sum(axis=1).max())
+            if c < donors.size:
+                if c > k:
+                    part = np.argpartition(approx, c - 1, axis=1)
+                cand = donors[np.sort(part[:, :c], axis=1)]
+        exact = w2_distance(
+            GaussianPosterior(agg.mu[qb][:, None, :], agg.var[qb][:, None, :]),
+            GaussianPosterior(agg.mu[cand], agg.var[cand]),
+        )
+        order = np.argsort(exact, axis=1, kind="stable")[:, :k]
+        rows = np.arange(qb.size)[:, None]
+        nb[lo:lo + qb.size] = cand[rows, order]
+        dist[lo:lo + qb.size] = exact[rows, order]
+    return nb, dist
+
+
 def impute_all(dataset, table, view_posteriors, k=10):
     """Dense imputed experts for every selected missing position.
 
     For a missing view v of sample i, the neighbors are the k samples
     observing view v whose fused posteriors are closest to sample i's
     (``w2_distance`` on the pre-imputation aggregates, so the result is a
-    pure function of the current encoder state); softmax(-distance)
-    weights average their view-v means and variances, and the weighted
-    dispersion of their means is added to the variance (imputation
-    uncertainty). Batched per view: one distance matrix from the querying
-    samples to all donors and a stable top-k per row. Returns
-    ``(prec, num)``, two (N, d_z) arrays: prec[i] sums 1/var_hat and
-    num[i] sums mu_hat/var_hat over the views selected for sample i, in
-    ascending view order; rows with no selected view are zero.
+    pure function of the current encoder state; ties go to the lower
+    sample index); softmax(-distance) weights average their view-v means
+    and variances, and the weighted dispersion of their means is added to
+    the variance (imputation uncertainty). The neighbour search runs per
+    view over blocks of ``QUERY_BLOCK`` querying samples (a GEMM
+    pre-filter, then an exact re-rank), so memory is O(block * N), never
+    O(N^2). Returns ``(prec, num)``, two (N, d_z) arrays: prec[i] sums
+    1/var_hat and num[i] sums mu_hat/var_hat over the views selected for
+    sample i, in ascending view order; rows with no selected view are
+    zero.
     """
     n, d = view_posteriors[0].mu.shape
     prec = np.zeros((n, d))
@@ -288,23 +353,18 @@ def impute_all(dataset, table, view_posteriors, k=10):
         i, v = pos[observed][0].tolist()
         raise ValueError(f"position ({i}, {v}) is observed; cannot impute it")
     agg = aggregate_observed(view_posteriors, dataset.mask)
+    feats = np.hstack([agg.mu, agg.sd])
+    sq = (feats * feats).sum(axis=1)
 
     for v in np.unique(pos[:, 1]).tolist():
         donors = np.where(dataset.mask[:, v] == 1)[0]
         if donors.size == 0:
             raise ValueError(f"no sample observes view {v}; cannot impute")
         q = np.unique(pos[pos[:, 1] == v, 0])
-        query = GaussianPosterior(agg.mu[q][:, None, :], agg.var[q][:, None, :])
-        dist = w2_distance(query, GaussianPosterior(agg.mu[donors], agg.var[donors]))
-        kk = min(int(k), donors.size)
-        # stable top-k per row (full argsort keeps ties deterministic)
-        order = np.argsort(dist, axis=1, kind="stable")[:, :kk]
-        rows = np.arange(q.size)[:, None]
-        dn = dist[rows, order]
+        nb, dn = _nearest_donors(agg, feats, sq, q, donors, min(int(k), donors.size))
         e = np.exp(-(dn - dn.min(axis=1, keepdims=True)))
         w = e / e.sum(axis=1, keepdims=True)
-        nb = donors[order]
-        mu_nb = view_posteriors[v].mu[nb]  # (nq, kk, d)
+        mu_nb = view_posteriors[v].mu[nb]  # (nq, k, d)
         var_nb = view_posteriors[v].var[nb]
         mu_hat = np.einsum("qk,qkd->qd", w, mu_nb)
         var_hat = np.einsum("qk,qkd->qd", w, var_nb)

@@ -62,13 +62,6 @@ class InfoTable:
     def n_selected(self):
         return int(self.selected.sum())
 
-    def score_of(self, i, v):
-        hit = (self.positions[:, 0] == i) & (self.positions[:, 1] == v)
-        idx = np.where(hit)[0]
-        if idx.size == 0:
-            raise KeyError(f"({i}, {v}) is not a missing position")
-        return float(self.scores[idx[0]])
-
 
 def pairwise_similarity(dataset, u, block_size=4096):
     """Similarity matrix of view u over samples observed in that view.

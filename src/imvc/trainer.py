@@ -60,6 +60,10 @@ class TrainConfig:
             raise ValueError("alpha must be non-negative")
         if self.n_neighbors < 1:
             raise ValueError("need at least one neighbor")
+        if self.d_z < 1 or any(h < 1 for h in self.hidden):
+            raise ValueError("d_z and every hidden width must be at least 1")
+        if not (self.pretrain_lr > 0 and self.train_lr > 0):
+            raise ValueError("learning rates must be positive")
 
 
 @dataclass

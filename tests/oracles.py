@@ -4,7 +4,9 @@ The library computes imputation, fusion and the coherence term densely
 over all samples at once (``model.impute_all``, ``model.fuse``,
 ``model.loss_and_grads``). These functions redo the same arithmetic one
 sample and one position at a time, in the form the method is usually
-written down, so the tests can compare the two.
+written down, so the tests can compare the two. ``impute_all_bruteforce``
+is the dense imputation without the blocked neighbour search: the full
+query x donor distance matrix and a stable argsort.
 """
 
 import numpy as np
@@ -48,6 +50,38 @@ def impute_distribution(dataset, table, aggregated, view_posteriors, i, v, k=10)
     return GaussianPosterior(mu=mu_hat, var=var_hat)
 
 
+def impute_all_bruteforce(dataset, table, view_posteriors, k=10):
+    """``impute_all`` from one (queries x donors x d_z) distance tensor per
+    view and a full stable argsort of each row."""
+    n, d = view_posteriors[0].mu.shape
+    prec = np.zeros((n, d))
+    num = np.zeros((n, d))
+    pos = table.positions[table.selected]
+    if pos.size == 0:
+        return prec, num
+    agg = aggregate_observed(view_posteriors, dataset.mask)
+    for v in np.unique(pos[:, 1]).tolist():
+        donors = np.where(dataset.mask[:, v] == 1)[0]
+        q = np.unique(pos[pos[:, 1] == v, 0])
+        query = GaussianPosterior(agg.mu[q][:, None, :], agg.var[q][:, None, :])
+        dist = w2_distance(query, GaussianPosterior(agg.mu[donors], agg.var[donors]))
+        kk = min(int(k), donors.size)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :kk]
+        rows = np.arange(q.size)[:, None]
+        dn = dist[rows, order]
+        e = np.exp(-(dn - dn.min(axis=1, keepdims=True)))
+        w = e / e.sum(axis=1, keepdims=True)
+        nb = donors[order]
+        mu_nb = view_posteriors[v].mu[nb]  # (nq, kk, d)
+        var_nb = view_posteriors[v].var[nb]
+        mu_hat = np.einsum("qk,qkd->qd", w, mu_nb)
+        var_hat = np.einsum("qk,qkd->qd", w, var_nb)
+        var_hat += np.einsum("qk,qkd->qd", w, (mu_nb - mu_hat[:, None, :]) ** 2)
+        prec[q] += 1.0 / var_hat
+        num[q] += mu_hat / var_hat
+    return prec, num
+
+
 def fuse_with_imputation(dataset, table, i, view_posteriors, k=10):
     """Fused posterior for sample i: its observed views, then the imputed
     experts of its selected missing views in ascending view order."""
@@ -80,3 +114,12 @@ def coherence_loss(aggregated, view_posteriors):
         raise ValueError("need at least one view posterior")
     total = sum(kl_diag_gaussian(aggregated, p) for p in view_posteriors)
     return float(total) / len(view_posteriors)
+
+
+def score_of(table, i, v):
+    """The informativeness score of missing position (i, v) in ``table``."""
+    hit = (table.positions[:, 0] == i) & (table.positions[:, 1] == v)
+    idx = np.where(hit)[0]
+    if idx.size == 0:
+        raise KeyError(f"({i}, {v}) is not a missing position")
+    return float(table.scores[idx[0]])

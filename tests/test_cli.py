@@ -278,6 +278,9 @@ class TestExitCodes:
         ("fit", "train.log_every=0"),
         ("fit", "train.batch_size=-1"),
         ("fit", "train.checkpoint_every=-1"),
+        ("fit", "train.latent_dim=0"),
+        ("fit", "train.lr=-1"),
+        ("fit", "train.hidden=0"),
         ("plugin", "plugin.neighbors=0"),
         ("plugin", "plugin.runs=0"),
         ("plugin", "plugin.ratio=1.5"),

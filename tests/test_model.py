@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from imvc.data import MultiViewDataset
+from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic
 from imvc.model import (
+    QUERY_BLOCK,
     DmgmmModel,
     GaussianPosterior,
     MixturePrior,
@@ -20,7 +23,13 @@ from imvc.model import (
 )
 from imvc.nn import SIGMA_MIN
 
-from oracles import coherence_loss, fuse_with_imputation, impute_distribution, kl_diag_gaussian
+from oracles import (
+    coherence_loss,
+    fuse_with_imputation,
+    impute_all_bruteforce,
+    impute_distribution,
+    kl_diag_gaussian,
+)
 
 
 def rel_err(a, b):
@@ -289,6 +298,62 @@ def selected_table(ds, every=1):
                      selected=selected)
 
 
+def knn_instance(seed, n=60, d=3, offset=0.0, tie_ulps=None, one_donor_view=False,
+                 clones=0):
+    """Random view posteriors under a random 3-view mask, every missing
+    position selected.
+
+    With ``tie_ulps`` set, samples [m, 2m) mirror samples [0, m): both
+    observe views 0 and 1 with equal variances, and the mirror swaps their
+    means. Fusion adds the two experts commutatively, so each pair's fused
+    posteriors are equal (``tie_ulps=0``) or one ulp apart (``tie_ulps=1``,
+    the mirror's view-0 means nudged up) while their view-0 and view-1
+    posteriors differ: a wrong pick among tied donors changes the output.
+    With ``clones`` set, groups of that many samples share their view-0 and
+    view-1 posteriors and observe both; a view-2 variance of 1e12 lets
+    their view-2 means move the fused means only in the last bits, so every
+    group is a cluster of near-tied view-2 donors with different experts.
+    ``offset`` shifts every mean. ``one_donor_view`` leaves view 2 with a
+    single donor.
+    """
+    rng = np.random.default_rng(seed)
+    mask = (rng.random((n, 3)) >= 0.4).astype(int)
+    mu = rng.normal(size=(3, n, d)) + offset
+    var = rng.uniform(0.1, 2.0, size=(3, n, d))
+    if tie_ulps is not None:
+        m = n // 3
+        a, b = slice(0, m), slice(m, 2 * m)
+        mask[a, :2] = 1
+        mask[b] = mask[a]
+        var[1, a] = var[0, a]
+        var[:, b] = var[:, a]
+        mu[0, b], mu[1, b], mu[2, b] = mu[1, a], mu[0, a], mu[2, a]
+        if tie_ulps:
+            mu[0, b] = np.nextafter(mu[0, b], np.inf)
+    if clones:
+        first = np.arange(n) // clones * clones
+        mu[:2], var[:2] = mu[:2, first], var[:2, first]
+        var[2] = 1e12
+        mask[:, :2] = 1
+    if one_donor_view:
+        mask[:, 2] = 0
+        mask[n - 1, 2] = 1
+    mask[mask.sum(axis=1) == 0, 0] = 1
+    ds = MultiViewDataset(views=[np.zeros((n, 1))] * 3, mask=mask)
+    posts = [GaussianPosterior(mu[v], var[v]) for v in range(3)]
+    return ds, posts, selected_table(ds)
+
+
+def assert_matches_bruteforce(ds, table, posts, k):
+    """``impute_all`` equals the dense oracle bit for bit (NaN equal to
+    NaN); returns its precision sums."""
+    prec, num = impute_all(ds, table, posts, k=k)
+    ref_prec, ref_num = impute_all_bruteforce(ds, table, posts, k=k)
+    np.testing.assert_array_equal(prec, ref_prec)
+    np.testing.assert_array_equal(num, ref_num)
+    return prec
+
+
 class TestImputeAll:
     @staticmethod
     def instance():
@@ -318,6 +383,86 @@ class TestImputeAll:
         assert (np.bincount(table.positions[:, 0]) == 2).any()
         np.testing.assert_allclose(got_prec, prec, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got_num, num, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case,k", [
+        (dict(tie_ulps=0), 3),
+        (dict(tie_ulps=1), 3),
+        (dict(offset=1e3), 5),
+        (dict(offset=1e3, tie_ulps=1), 4),
+        (dict(clones=8), 3),
+        (dict(), 100),
+        (dict(one_donor_view=True), 3),
+    ], ids=["exact-ties", "near-ties", "offset", "offset-near-ties", "near-tie-groups",
+            "k-above-donors", "one-donor-view"])
+    def test_bitwise_equal_to_bruteforce(self, case, k):
+        for seed in range(8):
+            ds, posts, table = knn_instance(seed, **case)
+            assert_matches_bruteforce(ds, table, posts, k=k)
+
+    def test_independent_of_partition_tail_order(self, monkeypatch):
+        # argpartition promises no order past kth; reversing that tail must
+        # not change which donors are re-ranked
+        real = np.argpartition
+
+        def reversed_tail(a, kth, axis=-1):
+            idx = real(a, kth, axis=axis)
+            return np.concatenate([idx[:, :kth + 1], idx[:, :kth:-1]], axis=1)
+
+        monkeypatch.setattr(np, "argpartition", reversed_tail)
+        for seed in range(4):
+            ds, posts, table = knn_instance(seed, clones=8)
+            assert_matches_bruteforce(ds, table, posts, k=3)
+
+    def test_non_finite_mean_matches_bruteforce(self, monkeypatch):
+        # a NaN mean turns the GEMM pre-filter off for its block; one-row
+        # blocks give the NaN sample's own query a block to itself
+        monkeypatch.setattr("imvc.model.QUERY_BLOCK", 1)
+        ds, posts, table = knn_instance(0)
+        i = int(np.where((ds.mask[:, 0] == 1) & (ds.mask.sum(axis=1) < 3))[0][0])
+        posts[0].mu[i] = np.nan
+        prec = assert_matches_bruteforce(ds, table, posts, k=3)
+        assert np.isnan(prec[i]).all() and np.isfinite(np.delete(prec, i, axis=0)).all()
+
+    def test_ties_are_real(self):
+        # the tie instances fuse each mirror pair to equal posteriors, yet
+        # the pair's view-0 experts differ
+        ds, posts, _ = knn_instance(0, n=60, tie_ulps=0)
+        agg = aggregate_observed(posts, ds.mask)
+        a, b = slice(0, 20), slice(20, 40)
+        np.testing.assert_array_equal(agg.mu[a], agg.mu[b])
+        np.testing.assert_array_equal(agg.var[a], agg.var[b])
+        assert (posts[0].mu[a] != posts[0].mu[b]).all()
+
+    def test_bitwise_equal_across_block_boundary(self):
+        # the last third (past the mirror pairs) is view 0's QUERY_BLOCK + 1
+        # querying samples: a full block, then a block of one row
+        m = QUERY_BLOCK + 1
+        ds, posts, _ = knn_instance(3, n=3 * m, tie_ulps=0)
+        mask = ds.mask.copy()
+        mask[2 * m:, 0] = 0
+        mask[2 * m:, 1:] = 1
+        ds = MultiViewDataset(views=ds.views, mask=mask)
+        table = selected_table(ds)
+        queries = np.unique(table.positions[table.positions[:, 1] == 0, 0])
+        assert queries.size == QUERY_BLOCK + 1
+        assert_matches_bruteforce(ds, table, posts, k=3)
+
+    def test_memory_stays_below_quadratic(self):
+        # one call at N=3000, every missing position selected: the dense
+        # (queries x donors x d_z) distance tensors peaked at about 472 MB
+        n = 3000
+        base = make_synthetic(n_samples=n, seed=0)
+        mask = generate_mask(n, 3, MissingSpec(np.array([0.8, 0.5, 0.2]), 0.5, seed=1))
+        ds = MultiViewDataset(views=base.views, mask=mask)
+        posts = encode_all(small_model(ds, 0, d_z=8), ds)
+        table = selected_table(ds)
+        tracemalloc.start()
+        try:
+            impute_all(ds, table, posts, k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_unselected_rows_zero(self):
         ds, posts = self.instance()

@@ -13,6 +13,8 @@ from imvc.scoring import (
     view_correlation,
 )
 
+from oracles import score_of
+
 
 def random_incomplete(seed, n=20, V=3, dims=(3, 2, 4), rate=0.35):
     """Small incomplete dataset; mask built directly (the +-0.02 rate
@@ -74,7 +76,7 @@ def unit_score(ds, i, v, sims=None):
     shares with sample i."""
     n, V = ds.mask.shape
     sims = sims if sims is not None else [np.ones((n, n)) for _ in range(V)]
-    return info_scores(ds, corr=np.ones((V, V)), sims=sims).score_of(i, v)
+    return score_of(info_scores(ds, corr=np.ones((V, V)), sims=sims), i, v)
 
 
 class TestSupportSet:
@@ -228,7 +230,7 @@ class TestMissingViewSimilarity:
         cross-view terms (member 2 has zero similarities)."""
         shared = np.where(ds.mask[0] & ds.mask[1])[0]
         cross = sum(sims[u][0, 1] * corr[u, 2] for u in shared)
-        return info_scores(ds, corr=corr, sims=sims).score_of(0, 2) - cross
+        return score_of(info_scores(ds, corr=corr, sims=sims), 0, 2) - cross
 
     def test_single_shared_view(self):
         mask = np.array([[1, 0, 0], [1, 1, 1], [1, 1, 1]])
@@ -264,7 +266,7 @@ class TestInfoScores:
         rng = np.random.default_rng(0)
         sims = [np.abs(rng.normal(size=(3, 3))) for _ in range(2)]
         table = info_scores(ds, corr=np.eye(2), sims=sims)
-        assert table.score_of(0, 1) == 0.0
+        assert score_of(table, 0, 1) == 0.0
 
     def test_two_sample_hand_trace(self):
         # one support sample, one shared view u != v:
@@ -277,7 +279,7 @@ class TestInfoScores:
         sims[0][0, 1] = sims[0][1, 0] = s
         corr = np.array([[1.0, c], [c, 1.0]])
         table = info_scores(ds, corr=corr, sims=sims)
-        assert table.score_of(0, 1) == pytest.approx(s * (1 + c))
+        assert score_of(table, 0, 1) == pytest.approx(s * (1 + c))
 
     def test_upper_bound_all_ones(self):
         # sims -> 1 and corr -> 1 gives m * V per position
@@ -288,7 +290,7 @@ class TestInfoScores:
         ds = MultiViewDataset(views=views, mask=mask)
         sims = [np.ones((n, n)) for _ in range(V)]
         table = info_scores(ds, corr=np.ones((V, V)), sims=sims)
-        assert table.score_of(0, 1) == pytest.approx((n - 1) * V)
+        assert score_of(table, 0, 1) == pytest.approx((n - 1) * V)
 
     def test_matches_triple_loop_oracle_exactly(self):
         for seed in range(50):
@@ -307,7 +309,7 @@ class TestInfoScores:
             table = info_scores(ds, corr=corr, sims=sims)
             expected = info_scores_oracle(ds, sims, corr)
             for (i, v), score in expected.items():
-                assert table.score_of(i, v) == score, (seed, i, v)
+                assert score_of(table, i, v) == score, (seed, i, v)
 
     def test_monotone_in_support(self):
         # adding a support sample never decreases the score
@@ -323,7 +325,7 @@ class TestInfoScores:
         ds_small = MultiViewDataset(views=views, mask=mask_small)
         small = info_scores(ds_small, corr=corr, sims=sims_big)
         big = info_scores(ds_big, corr=corr, sims=sims_big)
-        assert big.score_of(0, 1) >= small.score_of(0, 1)
+        assert score_of(big, 0, 1) >= score_of(small, 0, 1)
 
 
 class TestSelect:

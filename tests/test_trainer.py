@@ -33,8 +33,11 @@ def quick_config(seed=0, **kw):
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
-        "bad", [dict(log_every=0), dict(batch_size=-1), dict(checkpoint_every=-1)],
-        ids=["log_every", "batch_size", "checkpoint_every"],
+        "bad", [dict(log_every=0), dict(batch_size=-1), dict(checkpoint_every=-1),
+                dict(d_z=0), dict(train_lr=0.0), dict(pretrain_lr=-1e-3),
+                dict(hidden=(16, 0))],
+        ids=["log_every", "batch_size", "checkpoint_every", "d_z", "train_lr",
+             "pretrain_lr", "hidden"],
     )
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
