@@ -13,6 +13,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .data import MultiViewDataset
+from .model import QUERY_BLOCK
+from .scoring import view_distances
 
 
 def _check_pair(pred, truth):
@@ -90,73 +92,61 @@ def plugin_impute(dataset, table, k=10):
 
     For each selected position (i, v), candidate donors are samples
     observed in view v that share at least one observed view with i; they
-    are ranked by the average of per-shared-view Euclidean distances and
-    the k nearest donate the unweighted mean of their view-v rows. All
-    fills are computed from the original observed data before any is
-    applied. Returns (new dataset, imputed flag matrix); observed cells
-    and unselected positions are untouched, and filled cells get mask 1.
+    are ranked by the average of per-shared-view Euclidean distances
+    (``scoring.view_distances``; ties go to the lower donor index) and the
+    k nearest donate the unweighted mean of their view-v rows. Donors are
+    ranked per view over blocks of ``model.QUERY_BLOCK`` querying samples,
+    so memory beyond the distance matrices is O(block * N). Fills are
+    computed from the original observed data only. Returns (new dataset,
+    imputed flag matrix); observed cells and unselected positions are
+    untouched, and filled cells get mask 1.
     """
     if k < 1:
         raise ValueError(f"need at least one neighbor, got k={k}")
-    mask = dataset.mask
-    n, V = mask.shape
+    mask = dataset.mask.astype(bool)
+    V = dataset.n_views
     new_views = [X.copy() for X in dataset.views]
-    new_mask = mask.copy()
-    imputed = np.zeros((n, V), dtype=bool)
-
-    selected = [
-        (int(i), int(v))
-        for (i, v), sel in zip(table.positions, table.selected)
-        if sel
-    ]
-    if not selected:
-        return (
-            MultiViewDataset(new_views, new_mask, labels=dataset.labels, K=dataset.K),
-            imputed,
-        )
-
-    # Per-view squared distances over observed pairs, lazily materialized.
-    dist_cache = {}
-
-    def view_dist(u):
-        if u not in dist_cache:
-            obs = np.where(mask[:, u] == 1)[0]
-            X = dataset.views[u][obs]
-            sq = np.sum(X * X, axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-            np.maximum(d2, 0.0, out=d2)
-            full = np.full((n, n), np.nan)
-            full[np.ix_(obs, obs)] = np.sqrt(d2)
-            dist_cache[u] = full
-        return dist_cache[u]
-
-    fills = []
-    for i, v in selected:
-        if mask[i, v] != 0:
-            raise ValueError(f"position ({i}, {v}) is observed, nothing to impute")
-        donors = np.where((mask[:, v] == 1))[0]
+    new_mask = dataset.mask.copy()
+    imputed = np.zeros(mask.shape, dtype=bool)
+    pos = table.positions[table.selected]
+    observed = mask[pos[:, 0], pos[:, 1]]
+    if observed.any():
+        i, v = pos[observed][0]
+        raise ValueError(f"position ({i}, {v}) is observed, nothing to impute")
+    views = np.unique(pos[:, 1])
+    dists = [view_distances(dataset, u)[1] for u in range(V)] if views.size else []
+    # row of each observed sample in its view's distance matrix
+    row = np.cumsum(mask, axis=0) - 1
+    maskf = mask.astype(np.float64)
+    for v in views:
+        donors = np.where(mask[:, v])[0]
         if donors.size == 0:
             raise ValueError(f"no sample observes view {v}; cannot impute")
-        shared = (mask[donors] & mask[i][None, :]).astype(bool)  # (n_donors, V)
-        usable = shared.any(axis=1)
-        donors = donors[usable]
-        shared = shared[usable]
-        if donors.size == 0:
-            raise ValueError(f"no donor shares an observed view with sample {i}")
-        dist = np.zeros(donors.size)
-        for u in np.where(mask[i] == 1)[0]:
-            col = view_dist(u)[i, donors]
-            has = shared[:, int(u)]
-            dist[has] += col[has]
-        dist /= shared.sum(axis=1)
-        kk = min(k, donors.size)
-        order = np.argsort(dist, kind="stable")[:kk]
-        fills.append((i, v, dataset.views[v][donors[order]].mean(axis=0)))
-
-    for i, v, value in fills:
-        new_views[v][i] = value
-        new_mask[i, v] = 1
-        imputed[i, v] = True
+        q = pos[pos[:, 1] == v, 0]
+        lonely = q[~(mask[q] & mask[donors].any(axis=0)).any(axis=1)]
+        if lonely.size:
+            raise ValueError(f"no donor shares an observed view with sample {lonely[0]}")
+        X = dataset.views[v]
+        for lo in range(0, q.size, QUERY_BLOCK):
+            qb = q[lo:lo + QUERY_BLOCK]
+            total = np.zeros((qb.size, donors.size))
+            for u in range(V):
+                a = np.where(mask[qb, u])[0]
+                b = np.where(mask[donors, u])[0]
+                total[np.ix_(a, b)] += dists[u][np.ix_(row[qb[a], u], row[donors[b], u])]
+            count = maskf[qb] @ maskf[donors].T
+            usable = count > 0
+            # donors sharing a view first, each group by mean distance (NaN
+            # last), ties to the lower donor index
+            order = np.lexsort((total / np.maximum(count, 1.0), ~usable), axis=1)
+            kk = np.minimum(k, usable.sum(axis=1))
+            # rows grouped by neighbour count, so each mean reduces a
+            # (c, d) slice in the same order as a one-query mean would
+            for c in np.unique(kk):
+                r = kk == c
+                new_views[v][qb[r]] = X[donors[order[r, :c]]].mean(axis=1)
+        new_mask[q, v] = 1
+        imputed[q, v] = True
     return (
         MultiViewDataset(new_views, new_mask, labels=dataset.labels, K=dataset.K),
         imputed,

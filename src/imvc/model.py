@@ -262,8 +262,9 @@ def w2_distance(a, b):
     return np.sqrt((dmu * dmu).sum(axis=-1) + (dsd * dsd).sum(axis=-1))
 
 
-# Query rows per block of the neighbour search. A block holds a few
-# (block, donors) arrays, so one call needs O(block * N) memory.
+# Query rows per block of the neighbour searches (here and in
+# metrics.plugin_impute). A block holds a few (block, donors) arrays, so
+# one call needs O(block * N) memory.
 QUERY_BLOCK = 256
 
 # squared feature norms below this keep every GEMM-form value finite; a
@@ -314,10 +315,17 @@ def _nearest_donors(agg, feats, sq, q, donors, k):
                 if c > k:
                     part = np.argpartition(approx, c - 1, axis=1)
                 cand = donors[np.sort(part[:, :c], axis=1)]
-        exact = w2_distance(
-            GaussianPosterior(agg.mu[qb][:, None, :], agg.var[qb][:, None, :]),
-            GaussianPosterior(agg.mu[cand], agg.var[cand]),
-        )
+        # re-rank in row chunks so that no gathered (rows, C, d_z) array
+        # holds more than QUERY_BLOCK * donors elements, even when ties
+        # make every donor a candidate
+        exact = np.empty(cand.shape)
+        step = max(1, QUERY_BLOCK * donors.size // (cand.shape[1] * agg.mu.shape[1]))
+        for s in range(0, qb.size, step):
+            qs, cs = qb[s:s + step], cand[s:s + step]
+            exact[s:s + step] = w2_distance(
+                GaussianPosterior(agg.mu[qs][:, None, :], agg.var[qs][:, None, :]),
+                GaussianPosterior(agg.mu[cs], agg.var[cs]),
+            )
         order = np.argsort(exact, axis=1, kind="stable")[:, :k]
         rows = np.arange(qb.size)[:, None]
         nb[lo:lo + qb.size] = cand[rows, order]

@@ -36,6 +36,8 @@ import numpy as np
 
 CORR_FLOOR = 1e-3
 CCA_RIDGE = 1e-4
+# rows of the distance matrix per GEMM call in view_distances
+DIST_BLOCK = 4096
 
 
 @dataclass
@@ -63,32 +65,49 @@ class InfoTable:
         return int(self.selected.sum())
 
 
-def pairwise_similarity(dataset, u, block_size=4096):
-    """Similarity matrix of view u over samples observed in that view.
+def view_distances(dataset, u):
+    """Euclidean distances between the samples observed in view u.
 
-    sim = (1 - d / d_max)^2 with d_max the largest observed pairwise
-    distance, so the metric is invariant to rescaling the view. Entries
-    involving an unobserved sample are 0 and must be guarded by the mask.
+    Returns ``(obs, dist)``: the ascending indices of those samples and
+    their (m, m) distance matrix, zero on the diagonal. Rows are built by
+    the GEMM form |a|^2 + |b|^2 - 2 a.b over blocks of DIST_BLOCK rows.
     """
     obs = dataset.observed(u)
-    if obs.size < 2:
-        raise ValueError(f"view {u} needs at least 2 observed samples, has {obs.size}")
     X = dataset.views[u][obs]
-    n = dataset.n_samples
     m = obs.size
     dist = np.zeros((m, m))
     sq = np.sum(X * X, axis=1)
-    for start in range(0, m, block_size):
-        stop = min(start + block_size, m)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (X[start:stop] @ X.T)
-        np.maximum(d2, 0.0, out=d2)
-        dist[start:stop] = np.sqrt(d2)
+    for start in range(0, m, DIST_BLOCK):
+        rows = slice(start, start + DIST_BLOCK)
+        block = dist[rows]
+        gram = X[rows] @ X.T
+        gram *= 2.0
+        np.add(sq[rows, None], sq[None, :], out=block)
+        block -= gram
+        np.maximum(block, 0.0, out=block)
+        np.sqrt(block, out=block)
     np.fill_diagonal(dist, 0.0)
+    return obs, dist
+
+
+def pairwise_similarity(dataset, u):
+    """Similarity matrix of view u over samples observed in that view.
+
+    sim = (1 - d / d_max)^2 with d from ``view_distances`` and d_max the
+    largest observed pairwise distance, so the metric is invariant to
+    rescaling the view. Entries involving an unobserved sample are 0 and
+    must be guarded by the mask.
+    """
+    obs, dist = view_distances(dataset, u)
+    m = obs.size
+    if m < 2:
+        raise ValueError(f"view {u} needs at least 2 observed samples, has {m}")
     d_max = dist.max()
     if d_max == 0.0:
         sim_obs = np.ones((m, m))
     else:
         sim_obs = (1.0 - dist / d_max) ** 2
+    n = dataset.n_samples
     sim = np.zeros((n, n))
     sim[np.ix_(obs, obs)] = sim_obs
     return sim
@@ -100,13 +119,12 @@ def _inv_sqrt_psd(S):
     return (Q / np.sqrt(w)) @ Q.T
 
 
-def first_canonical_correlation(X, Y, ridge=CCA_RIDGE, max_iter=500, tol=1e-12):
+def first_canonical_correlation(X, Y, ridge=CCA_RIDGE):
     """Top canonical correlation between row-aligned matrices X and Y.
 
     Mean-centers, whitens both covariances (with a ridge for rank safety)
-    and extracts the leading singular value of the whitened cross-
-    covariance by power iteration. Deterministic; result clamped to
-    [0, 1].
+    and returns the largest singular value of the whitened cross-
+    covariance, clamped to [0, 1].
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -119,24 +137,7 @@ def first_canonical_correlation(X, Y, ridge=CCA_RIDGE, max_iter=500, tol=1e-12):
     Syy = Yc.T @ Yc / (n - 1) + ridge * np.eye(Y.shape[1])
     Sxy = Xc.T @ Yc / (n - 1)
     T = _inv_sqrt_psd(Sxx) @ Sxy @ _inv_sqrt_psd(Syy)
-
-    v = np.full(T.shape[1], 1.0 / math.sqrt(T.shape[1]))
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = T @ v
-        s = np.linalg.norm(w)
-        if s == 0.0:
-            return 0.0
-        w /= s
-        v = T.T @ w
-        s_new = np.linalg.norm(v)
-        if s_new == 0.0:
-            return 0.0
-        v /= s_new
-        if abs(s_new - sigma) <= tol * max(1.0, s_new):
-            sigma = s_new
-            break
-        sigma = s_new
+    sigma = np.linalg.svd(T, compute_uv=False)[0]
     return float(min(max(sigma, 0.0), 1.0))
 
 

@@ -7,10 +7,14 @@ sample and one position at a time, in the form the method is usually
 written down, so the tests can compare the two. ``impute_all_bruteforce``
 is the dense imputation without the blocked neighbour search: the full
 query x donor distance matrix and a stable argsort.
+``plugin_impute_per_position`` ranks the raw-feature donors of
+``metrics.plugin_impute`` one selected position at a time, from dense
+N x N distance matrices per view.
 """
 
 import numpy as np
 
+from imvc.data import MultiViewDataset
 from imvc.model import GaussianPosterior, aggregate_observed, fuse, w2_distance
 
 
@@ -123,3 +127,81 @@ def score_of(table, i, v):
     if idx.size == 0:
         raise KeyError(f"({i}, {v}) is not a missing position")
     return float(table.scores[idx[0]])
+
+
+def plugin_impute_per_position(dataset, table, k=10):
+    """Fill selected missing positions with raw-space neighbor means.
+
+    For each selected position (i, v), candidate donors are samples
+    observed in view v that share at least one observed view with i; they
+    are ranked by the average of per-shared-view Euclidean distances and
+    the k nearest donate the unweighted mean of their view-v rows. All
+    fills are computed from the original observed data before any is
+    applied. Returns (new dataset, imputed flag matrix); observed cells
+    and unselected positions are untouched, and filled cells get mask 1.
+    """
+    if k < 1:
+        raise ValueError(f"need at least one neighbor, got k={k}")
+    mask = dataset.mask
+    n, V = mask.shape
+    new_views = [X.copy() for X in dataset.views]
+    new_mask = mask.copy()
+    imputed = np.zeros((n, V), dtype=bool)
+
+    selected = [
+        (int(i), int(v))
+        for (i, v), sel in zip(table.positions, table.selected)
+        if sel
+    ]
+    if not selected:
+        return (
+            MultiViewDataset(new_views, new_mask, labels=dataset.labels, K=dataset.K),
+            imputed,
+        )
+
+    # Per-view squared distances over observed pairs, lazily materialized.
+    dist_cache = {}
+
+    def view_dist(u):
+        if u not in dist_cache:
+            obs = np.where(mask[:, u] == 1)[0]
+            X = dataset.views[u][obs]
+            sq = np.sum(X * X, axis=1)
+            d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+            np.maximum(d2, 0.0, out=d2)
+            full = np.full((n, n), np.nan)
+            full[np.ix_(obs, obs)] = np.sqrt(d2)
+            dist_cache[u] = full
+        return dist_cache[u]
+
+    fills = []
+    for i, v in selected:
+        if mask[i, v] != 0:
+            raise ValueError(f"position ({i}, {v}) is observed, nothing to impute")
+        donors = np.where((mask[:, v] == 1))[0]
+        if donors.size == 0:
+            raise ValueError(f"no sample observes view {v}; cannot impute")
+        shared = (mask[donors] & mask[i][None, :]).astype(bool)  # (n_donors, V)
+        usable = shared.any(axis=1)
+        donors = donors[usable]
+        shared = shared[usable]
+        if donors.size == 0:
+            raise ValueError(f"no donor shares an observed view with sample {i}")
+        dist = np.zeros(donors.size)
+        for u in np.where(mask[i] == 1)[0]:
+            col = view_dist(u)[i, donors]
+            has = shared[:, int(u)]
+            dist[has] += col[has]
+        dist /= shared.sum(axis=1)
+        kk = min(k, donors.size)
+        order = np.argsort(dist, kind="stable")[:kk]
+        fills.append((i, v, dataset.views[v][donors[order]].mean(axis=0)))
+
+    for i, v, value in fills:
+        new_views[v][i] = value
+        new_mask[i, v] = 1
+        imputed[i, v] = True
+    return (
+        MultiViewDataset(new_views, new_mask, labels=dataset.labels, K=dataset.K),
+        imputed,
+    )

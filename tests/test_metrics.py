@@ -5,7 +5,10 @@ import pytest
 
 from imvc.data import MultiViewDataset
 from imvc.metrics import accuracy, ari, nmi, plugin_impute
+from imvc.model import QUERY_BLOCK
 from imvc.scoring import InfoTable
+
+from oracles import plugin_impute_per_position
 
 
 # ---------------- independent oracles ----------------
@@ -140,6 +143,35 @@ def table_for(dataset, select_all=True):
     )
 
 
+def plugin_instance(seed, n=60, V=3, ties=False, long_view=False, nan_row=False):
+    """Random raw views under a random mask with a random half of the
+    missing positions selected.
+
+    With ``ties`` every view's rows repeat three integer patterns, so many
+    donors are exactly equidistant from a query. With ``long_view`` the
+    first QUERY_BLOCK + 1 samples miss view 0 and observe view 1, and all of
+    view 0's positions are selected, so it has more than one block of
+    queries. With ``nan_row`` one observed view-1 row is NaN, so its
+    distances are NaN.
+    """
+    rng = np.random.default_rng(seed)
+    mask = (rng.random((n, V)) >= 0.4).astype(int)
+    if long_view:
+        mask[:QUERY_BLOCK + 1, :2] = (0, 1)
+    mask[mask.sum(axis=1) == 0, 0] = 1
+    views = [rng.normal(size=(n, v + 1)) for v in range(V)]
+    if ties:
+        views = [np.round(3 * X[rng.integers(0, 3, size=n)]) for X in views]
+    if nan_row:
+        views[1][np.where(mask[:, 1])[0][0]] = np.nan
+    ds = MultiViewDataset(views=views, mask=mask)
+    table = table_for(ds)
+    table.selected[:] = rng.random(table.n_missing) < 0.5
+    if long_view:
+        table.selected[table.positions[:, 1] == 0] = True
+    return ds, table
+
+
 class TestPluginImpute:
     def hand_dataset(self):
         # 5 samples, 2 views; sample 0 misses view 1
@@ -196,8 +228,49 @@ class TestPluginImpute:
         assert out.views[1][0, 0] == pytest.approx(expected)
         assert out.views[1][1, 0] == pytest.approx(expected)
 
+    def test_distances_add_in_view_order(self):
+        # donors 1 and 2 lie 0.1/0.2/0.3 and 0.3/0.2/0.1 from sample 0 in
+        # views 0-2: summed in view order donor 2 is one ulp nearer, summed
+        # in reverse order donor 1 is
+        views = [np.array([[0.0], [a], [b]]) for a, b in ((0.1, 0.3), (0.2, 0.2), (0.3, 0.1))]
+        views.append(np.array([[0.0], [10.0], [20.0]]))
+        ds = MultiViewDataset(views=views, mask=np.array([[1, 1, 1, 0]] + [[1, 1, 1, 1]] * 2))
+        out, _ = plugin_impute(ds, table_for(ds), k=1)
+        assert out.views[3][0, 0] == 20.0
+
     def test_zero_neighbors_rejected(self):
         # k=0 would average an empty donor slice into NaN fills
         ds = self.hand_dataset()
         with pytest.raises(ValueError, match="at least one neighbor"):
             plugin_impute(ds, table_for(ds), k=0)
+
+    @pytest.mark.parametrize("case,k", [
+        (dict(), 3),
+        (dict(ties=True), 5),
+        (dict(), 100),
+        (dict(V=4), 4),
+        (dict(n=2 * QUERY_BLOCK, ties=True, long_view=True), 7),
+        (dict(nan_row=True), 100),
+    ], ids=["random", "exact-ties", "k-above-donors", "four-views", "two-query-blocks",
+            "nan-distances"])
+    def test_bitwise_equal_to_per_position(self, case, k):
+        for seed in range(8):
+            ds, table = plugin_instance(seed, **case)
+            out, flags = plugin_impute(ds, table, k=k)
+            ref, ref_flags = plugin_impute_per_position(ds, table, k=k)
+            for a, b in zip(out.views, ref.views):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(out.mask, ref.mask)
+            np.testing.assert_array_equal(flags, ref_flags)
+
+    @pytest.mark.parametrize("mask,select,message", [
+        ([[1, 0], [1, 1], [1, 1]], (1, 1), r"\(1, 1\) is observed"),
+        ([[1, 0], [1, 0], [1, 0]], (0, 1), r"no sample observes view 1"),
+        ([[1, 0], [0, 1], [0, 1]], (0, 1), r"no donor shares an observed view with sample 0"),
+    ], ids=["observed-position", "view-without-donor", "no-shared-view"])
+    def test_unfillable_selection_rejected(self, mask, select, message):
+        ds = MultiViewDataset(views=[np.arange(3.0)[:, None]] * 2, mask=np.array(mask))
+        table = InfoTable(positions=np.array([select]), scores=np.zeros(1),
+                          selected=np.ones(1, dtype=bool))
+        with pytest.raises(ValueError, match=message):
+            plugin_impute(ds, table)

@@ -299,7 +299,7 @@ def selected_table(ds, every=1):
 
 
 def knn_instance(seed, n=60, d=3, offset=0.0, tie_ulps=None, one_donor_view=False,
-                 clones=0):
+                 clones=0, constant=False):
     """Random view posteriors under a random 3-view mask, every missing
     position selected.
 
@@ -314,7 +314,8 @@ def knn_instance(seed, n=60, d=3, offset=0.0, tie_ulps=None, one_donor_view=Fals
     their view-2 means move the fused means only in the last bits, so every
     group is a cluster of near-tied view-2 donors with different experts.
     ``offset`` shifts every mean. ``one_donor_view`` leaves view 2 with a
-    single donor.
+    single donor. ``constant`` gives every view posterior the same mean and
+    variance, so every donor ties with every other.
     """
     rng = np.random.default_rng(seed)
     mask = (rng.random((n, 3)) >= 0.4).astype(int)
@@ -335,6 +336,8 @@ def knn_instance(seed, n=60, d=3, offset=0.0, tie_ulps=None, one_donor_view=Fals
         mu[:2], var[:2] = mu[:2, first], var[:2, first]
         var[2] = 1e12
         mask[:, :2] = 1
+    if constant:
+        mu[:], var[:] = mu[0, 0], var[0, 0]
     if one_donor_view:
         mask[:, 2] = 0
         mask[n - 1, 2] = 1
@@ -392,8 +395,9 @@ class TestImputeAll:
         (dict(clones=8), 3),
         (dict(), 100),
         (dict(one_donor_view=True), 3),
+        (dict(constant=True, d=40), 3),
     ], ids=["exact-ties", "near-ties", "offset", "offset-near-ties", "near-tie-groups",
-            "k-above-donors", "one-donor-view"])
+            "k-above-donors", "one-donor-view", "all-tied-chunked"])
     def test_bitwise_equal_to_bruteforce(self, case, k):
         for seed in range(8):
             ds, posts, table = knn_instance(seed, **case)
@@ -447,22 +451,36 @@ class TestImputeAll:
         assert queries.size == QUERY_BLOCK + 1
         assert_matches_bruteforce(ds, table, posts, k=3)
 
-    def test_memory_stays_below_quadratic(self):
-        # one call at N=3000, every missing position selected: the dense
-        # (queries x donors x d_z) distance tensors peaked at about 472 MB
+    @staticmethod
+    def peak_bytes_at_3000(constant):
+        """tracemalloc peak of one ``impute_all`` call at N=3000, every
+        missing position selected, d_z=8; ``constant`` makes every
+        posterior equal, so every donor ties."""
         n = 3000
         base = make_synthetic(n_samples=n, seed=0)
         mask = generate_mask(n, 3, MissingSpec(np.array([0.8, 0.5, 0.2]), 0.5, seed=1))
         ds = MultiViewDataset(views=base.views, mask=mask)
-        posts = encode_all(small_model(ds, 0, d_z=8), ds)
+        if constant:
+            posts = [GaussianPosterior(np.zeros((n, 8)), np.ones((n, 8)))] * 3
+        else:
+            posts = encode_all(small_model(ds, 0, d_z=8), ds)
         table = selected_table(ds)
         tracemalloc.start()
         try:
             impute_all(ds, table, posts, k=10)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+
+    def test_memory_stays_below_quadratic(self):
+        # the dense (queries x donors x d_z) distance tensors peaked at
+        # about 472 MB
+        assert self.peak_bytes_at_3000(constant=False) < 64 * 2**20
+
+    def test_memory_stays_below_quadratic_when_all_donors_tie(self):
+        # ties make every donor a re-rank candidate; re-ranking whole
+        # blocks gathered (block, donors, d_z) arrays, about 120 MB
+        assert self.peak_bytes_at_3000(constant=True) < 64 * 2**20
 
     def test_unselected_rows_zero(self):
         ds, posts = self.instance()

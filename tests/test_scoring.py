@@ -161,10 +161,11 @@ class TestPairwiseSimilarity:
         with pytest.raises(ValueError):
             pairwise_similarity(ds, 0)
 
-    def test_blockwise_matches_direct(self):
+    def test_blockwise_matches_direct(self, monkeypatch):
         ds = random_incomplete(4, n=50)
         a = pairwise_similarity(ds, 1)
-        b = pairwise_similarity(ds, 1, block_size=7)
+        monkeypatch.setattr("imvc.scoring.DIST_BLOCK", 7)
+        b = pairwise_similarity(ds, 1)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
