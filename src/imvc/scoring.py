@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import QUERY_BLOCK
+
 CORR_FLOOR = 1e-3
 CCA_RIDGE = 1e-4
 # rows of the distance matrix per GEMM call in view_distances
@@ -176,11 +178,18 @@ def info_scores(dataset, latents=None, corr=None, sims=None):
 
     Either pass precomputed per-view similarity matrices and a correlation
     matrix, or latents from which the correlations are estimated. Empty
-    support sets score 0. Per-position sums are accumulated with exact
-    (fsum) summation so the result does not depend on traversal order.
+    support sets score 0.
+
+    Each target view v is scored over blocks of the samples missing it,
+    against every sample observing it; a block holds at most
+    ``model.QUERY_BLOCK * N`` (donor, view) terms. Every sum (a member's
+    numerator and denominator, a position's total) is the correctly
+    rounded sum of ``_fsum_rows``, so each score equals, bit for bit,
+    ``math.fsum`` of its terms, whatever the traversal order.
     """
     mask = dataset.mask
     V = dataset.n_views
+    n = dataset.n_samples
     if sims is None:
         sims = [pairwise_similarity(dataset, u) for u in range(V)]
     if corr is None:
@@ -188,31 +197,135 @@ def info_scores(dataset, latents=None, corr=None, sims=None):
             raise ValueError("need either latents or a correlation matrix")
         corr = view_correlation(latents, dataset)
 
+    corr = np.asarray(corr, dtype=np.float64)
+    if corr.shape != (V, V):
+        raise ValueError(f"correlation matrix must be {V} x {V}, got shape {corr.shape}")
     if not np.array_equal(np.diag(corr), np.ones(V)):
         raise ValueError("correlation matrix must have a unit diagonal")
+    if len(sims) != V:
+        raise ValueError(f"need one similarity matrix per view ({V}), got {len(sims)}")
+    for u, s in enumerate(sims):
+        if np.shape(s) != (n, n):
+            raise ValueError(f"similarity matrix of view {u} must be {n} x {n}, "
+                             f"got shape {np.shape(s)}")
+    flat_sims = [np.ravel(np.asarray(s, dtype=np.float64)) for s in sims]
 
-    positions = dataset.missing_positions()
+    positions = np.asarray(dataset.missing_positions(), dtype=np.int64).reshape(-1, 2)
     scores = np.zeros(len(positions))
+    index = np.zeros((n, V), dtype=np.int64)
+    index[positions[:, 0], positions[:, 1]] = np.arange(len(positions))
     maskb = mask.astype(bool)
-    for p, (i, v) in enumerate(positions):
-        shared = maskb & maskb[i][None, :]  # (N, V); column v is False
-        members = np.where(maskb[:, v] & shared.any(axis=1))[0]
-        if members.size == 0:
+    for v in range(V):
+        donors = np.flatnonzero(maskb[:, v])
+        queries = np.flatnonzero(~maskb[:, v])
+        if donors.size == 0:
             continue
-        shared = shared[members]
-        sim_rows = np.stack([sims[u][i, members] for u in range(V)], axis=1)
-        cross = sim_rows * corr[None, :, v] * shared
-        # exactly rounded per-member sums keep the score independent of
-        # the traversal order
-        num = np.array([math.fsum(row) for row in cross.tolist()])
-        den = np.array([math.fsum(row) for row in (corr[None, :, v] * shared).tolist()])
-        cross[:, v] = num / den  # intra term: corr-weighted mean, corr[v,v] = 1
-        scores[p] = math.fsum(cross.ravel().tolist())
+        # a block holds (rows, V, donors) terms: rows of the score sums
+        # are contiguous, and the per-member sums run over axis 1
+        step = max(1, QUERY_BLOCK * n // (V * donors.size))
+        observes = np.ascontiguousarray(maskb[donors].T)
+        for lo in range(0, queries.size, step):
+            qb = queries[lo:lo + step]
+            cells = qb[:, None] * n + donors  # flat (query, donor) indices
+            shared = maskb[qb][:, :, None] & observes  # [:, v] is False
+            member = shared.any(axis=1)
+            cross = np.empty(shared.shape)
+            for u in range(V):
+                np.take(flat_sims[u], cells, out=cross[:, u])
+                cross[:, u] *= corr[u, v]
+            cross *= shared
+            # non-members are not part of the sum: zero them rather than
+            # multiply, so that a NaN similarity there stays out
+            rows, cols = np.nonzero(~member)
+            cross[rows, :, cols] = 0.0
+            num = _fsum_rows(cross.transpose(0, 2, 1))
+            den = _fsum_rows((corr[:, v, None] * shared).transpose(0, 2, 1))
+            # intra term: corr-weighted mean, corr[v,v] = 1
+            np.divide(num, den, out=cross[:, v], where=member)
+            scores[index[qb, v]] = _fsum_rows(cross.reshape(qb.size, -1))
     return InfoTable(
-        positions=np.asarray(positions, dtype=np.int64).reshape(len(positions), 2),
+        positions=positions,
         scores=scores,
         selected=np.zeros(len(positions), dtype=bool),
     )
+
+
+def _fsum_rows(A):
+    """Sums over the last axis of A, each equal to ``math.fsum`` of its row.
+
+    A row with at most two nonzero terms is summed by IEEE addition, which
+    rounds the one inexact add correctly. A wider row is split by one
+    error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation I", 2008) into high parts that sum exactly and small
+    remainders; their rounded total is kept only when ``_certified_rows``
+    proves it is the correctly rounded sum. The rest, non-finite rows
+    included, go to ``math.fsum``, which also raises where it would.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    narrow = np.count_nonzero(A, axis=-1) <= 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        if narrow.all():
+            out, ok = _added_rows(A)
+        else:
+            out, ok = _certified_rows(A)
+            if narrow.any():
+                out[narrow], ok[narrow] = _added_rows(A[narrow])
+    if not ok.all():
+        for r in zip(*np.nonzero(~ok)):
+            out[r] = math.fsum(A[r].tolist())
+    return out
+
+
+def _added_rows(A):
+    # + 0.0 turns a -0.0 sum into the 0.0 that fsum returns
+    s = A.sum(axis=-1) + 0.0
+    return s, np.isfinite(s)
+
+
+# one extraction needs 2 * width * max|a| to stay well inside the normal range
+_EXTRACT_MIN = 2.0 ** -900
+_EXTRACT_MAX = 2.0 ** 900
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _certified_rows(A):
+    """Rounded row sums of A and whether each is certified correctly rounded.
+
+    A total is certified when its TwoSum error plus a bound on the rounding
+    error of the remainders' sum is strictly under half the gap to the
+    neighbouring double, or when the remainders provably add up exactly.
+    """
+    w = A.shape[-1]
+    big = np.maximum(A.max(axis=-1), -A.min(axis=-1))
+    sane = (big >= _EXTRACT_MIN) & (big <= _EXTRACT_MAX)
+    # sigma = 2^k >= 2 w max|a|: q = (sigma + a) - sigma is a multiple of
+    # sigma u, and |q| <= sigma / 2w + sigma u, so every partial sum of q
+    # is exact; the remainder a - q is exact with |a - q| <= sigma u
+    sigma = np.ldexp(1.0, np.frexp(np.where(sane, 2.0 * w * big, 1.0))[1])[..., None]
+    q = np.add(sigma, A)
+    q -= sigma
+    high = q.sum(axis=-1)
+    low = np.subtract(A, q, out=q).sum(axis=-1)
+    total = high + low
+    # TwoSum: high + low - total, exactly
+    b = total - high
+    err = (high - (total - b)) + (low - b)
+    # rounding error of low: gamma_{w-1} * w * sigma * u <= 2 w^2 u^2 sigma
+    bound = np.abs(err) + (2.0 * w * w * _UNIT_ROUNDOFF * _UNIT_ROUNDOFF) * sigma[..., 0]
+    # half the gap to the nearer neighbour of |total| (the one below it)
+    mag = np.abs(total)
+    half_gap = (mag - np.nextafter(mag, 0.0)) * 0.5
+    certain = sane & (bound < half_gap)
+    # The remainders are multiples of min(sigma u, ulp of the smallest
+    # nonzero term). When that term is at least w sigma u, every partial
+    # sum of them fits that grid, so low is exact and total is the
+    # correctly rounded sum even at a tie.
+    doubt = sane & ~certain
+    if doubt.any():
+        terms = np.abs(A[doubt])
+        smallest = np.min(terms, axis=-1, where=terms > 0, initial=np.inf)
+        certain[doubt] = smallest >= w * sigma[doubt, 0] * _UNIT_ROUNDOFF
+    return total, certain
 
 
 def select_positions(table, ratio):

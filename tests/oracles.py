@@ -9,13 +9,17 @@ is the dense imputation without the blocked neighbour search: the full
 query x donor distance matrix and a stable argsort.
 ``plugin_impute_per_position`` ranks the raw-feature donors of
 ``metrics.plugin_impute`` one selected position at a time, from dense
-N x N distance matrices per view.
+N x N distance matrices per view. ``info_scores_per_position`` scores one
+missing position at a time with one ``math.fsum`` per support member.
 """
+
+import math
 
 import numpy as np
 
 from imvc.data import MultiViewDataset
 from imvc.model import GaussianPosterior, aggregate_observed, fuse, w2_distance
+from imvc.scoring import InfoTable
 
 
 def _row(post, i):
@@ -204,4 +208,34 @@ def plugin_impute_per_position(dataset, table, k=10):
     return (
         MultiViewDataset(new_views, new_mask, labels=dataset.labels, K=dataset.K),
         imputed,
+    )
+
+
+def info_scores_per_position(dataset, corr, sims):
+    """``scoring.info_scores`` one missing position at a time: the support
+    members' (member, view) terms, one ``math.fsum`` per member numerator
+    and denominator, and one over all terms of the position."""
+    mask = dataset.mask
+    V = dataset.n_views
+    positions = dataset.missing_positions()
+    scores = np.zeros(len(positions))
+    maskb = mask.astype(bool)
+    for p, (i, v) in enumerate(positions):
+        shared = maskb & maskb[i][None, :]  # (N, V); column v is False
+        members = np.where(maskb[:, v] & shared.any(axis=1))[0]
+        if members.size == 0:
+            continue
+        shared = shared[members]
+        sim_rows = np.stack([sims[u][i, members] for u in range(V)], axis=1)
+        cross = sim_rows * corr[None, :, v] * shared
+        # exactly rounded per-member sums keep the score independent of
+        # the traversal order
+        num = np.array([math.fsum(row) for row in cross.tolist()])
+        den = np.array([math.fsum(row) for row in (corr[None, :, v] * shared).tolist()])
+        cross[:, v] = num / den  # intra term: corr-weighted mean, corr[v,v] = 1
+        scores[p] = math.fsum(cross.ravel().tolist())
+    return InfoTable(
+        positions=np.asarray(positions, dtype=np.int64).reshape(len(positions), 2),
+        scores=scores,
+        selected=np.zeros(len(positions), dtype=bool),
     )

@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from imvc import scoring
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic
+from imvc.model import QUERY_BLOCK
 from imvc.scoring import (
     CORR_FLOOR,
+    _fsum_rows,
     first_canonical_correlation,
     info_scores,
     pairwise_similarity,
@@ -13,7 +17,7 @@ from imvc.scoring import (
     view_correlation,
 )
 
-from oracles import score_of
+from oracles import info_scores_per_position, score_of
 
 
 def random_incomplete(seed, n=20, V=3, dims=(3, 2, 4), rate=0.35):
@@ -68,6 +72,25 @@ def info_scores_oracle(dataset, sims, corr):
                 terms.append(s * corr[u, v])
         out[(i, v)] = math.fsum(terms)
     return out
+
+
+def random_corr(rng, V):
+    corr = np.eye(V)
+    for u in range(V):
+        for v in range(u + 1, V):
+            corr[u, v] = corr[v, u] = rng.uniform(0.05, 1.0)
+    return corr
+
+
+def assert_per_position_scores(ds, corr, sims):
+    """info_scores equals the per-position reference bit for bit (NaN
+    where the reference has NaN); returns the scores."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = info_scores(ds, corr=corr, sims=sims)
+        want = info_scores_per_position(ds, corr, sims)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.scores, want.scores, equal_nan=True)
+    return got.scores
 
 
 def unit_score(ds, i, v, sims=None):
@@ -312,6 +335,100 @@ class TestInfoScores:
             for (i, v), score in expected.items():
                 assert score_of(table, i, v) == score, (seed, i, v)
 
+    def test_bitwise_equal_to_per_position(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        # random instances, V = 2-4
+        for seed in range(30):
+            V = 2 + seed % 3
+            ds = random_incomplete(300 + seed, n=int(rng.integers(8, 41)), V=V,
+                                   dims=(3, 2, 4, 2))
+            sims = [pairwise_similarity(ds, u) for u in range(V)]
+            assert_per_position_scores(ds, random_corr(rng, V), sims)
+
+        # a view with QUERY_BLOCK + 1 querying samples
+        n = QUERY_BLOCK + 1 + 12
+        mask = np.ones((n, 3), dtype=int)
+        mask[:QUERY_BLOCK + 1, 1] = 0
+        mask[rng.random(n) < 0.3, 2] = 0
+        ds = MultiViewDataset([rng.normal(size=(n, 2)) for _ in range(3)], mask)
+        sims = [pairwise_similarity(ds, u) for u in range(3)]
+        scores = assert_per_position_scores(ds, random_corr(rng, 3), sims)
+        assert np.all(scores > 0)
+
+        # 200 querying samples over several capped blocks of 1000 donors
+        n = 1200
+        mask = (rng.random((n, 4)) < 0.7).astype(int)
+        mask[:, 3] = 0
+        mask[200:, 3] = 1
+        mask[:200, 0] = 1
+        ds = MultiViewDataset([rng.normal(size=(n, 2)) for _ in range(4)], mask)
+        assert QUERY_BLOCK * n // (4 * 1000) < 200
+        sims = [pairwise_similarity(ds, u) for u in range(4)]
+        assert_per_position_scores(ds, random_corr(rng, 4), sims)
+
+        # blocks down to a single querying sample
+        ds = random_incomplete(77, n=40, V=3)
+        sims = [pairwise_similarity(ds, u) for u in range(3)]
+        corr = random_corr(rng, 3)
+        for block in (1, 2, 5):
+            monkeypatch.setattr(scoring, "QUERY_BLOCK", block)
+            assert_per_position_scores(ds, corr, sims)
+        monkeypatch.undo()
+
+        # the observers of view 1 see nothing else: no support for view 1
+        mask = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 0], [1, 0, 1]])
+        ds = MultiViewDataset([rng.normal(size=(6, 2)) for _ in range(3)], mask)
+        sims = [pairwise_similarity(ds, u) for u in range(3)]
+        scores = assert_per_position_scores(ds, random_corr(rng, 3), sims)
+        view = np.array(ds.missing_positions())[:, 1]
+        assert np.all(scores[view == 1] == 0.0) and np.any(scores > 0)
+
+        # similarities that are NaN outside the observed pairs: the terms
+        # multiply the missing view's NaN similarity by 0, so supported
+        # positions score NaN
+        ds = random_incomplete(91, n=30, V=3)
+        maskb = ds.mask.astype(bool)
+        corr = random_corr(rng, 3)
+        sims = [pairwise_similarity(ds, u) for u in range(3)]
+        nan_sims = [np.where(np.outer(maskb[:, u], maskb[:, u]), s, np.nan)
+                    for u, s in enumerate(sims)]
+        assert np.isnan(assert_per_position_scores(ds, corr, nan_sims)).any()
+        # NaN only between samples that share no view: those pairs are
+        # outside every support set, so no score may turn NaN
+        apart = ~(maskb.astype(int) @ maskb.T.astype(int)).astype(bool)
+        assert apart.any()
+        apart_sims = [np.where(apart, np.nan, s) for s in sims]
+        scores = assert_per_position_scores(ds, corr, apart_sims)
+        assert np.array_equal(scores, info_scores(ds, corr=corr, sims=sims).scores)
+
+        # a zero correlation makes every denominator zero: 0/0 is NaN
+        ds = random_incomplete(12, n=20, V=2)
+        sims = [pairwise_similarity(ds, u) for u in range(2)]
+        scores = assert_per_position_scores(ds, np.eye(2), sims)
+        assert np.isnan(scores).all()
+
+    def test_corr_must_be_v_by_v(self):
+        ds = random_incomplete(3, V=3)
+        sims = [pairwise_similarity(ds, u) for u in range(3)]
+        wide = np.hstack([np.eye(3), np.full((3, 1), 0.5)])  # unit diagonal
+        with pytest.raises(ValueError, match="correlation matrix must be 3 x 3"):
+            info_scores(ds, corr=wide, sims=sims)
+        with pytest.raises(ValueError, match="correlation matrix must be 3 x 3"):
+            info_scores(ds, corr=np.eye(2), sims=sims)
+
+    def test_one_similarity_matrix_per_view(self):
+        ds = random_incomplete(3, V=3)
+        sims = [pairwise_similarity(ds, u) for u in range(3)]
+        with pytest.raises(ValueError, match="one similarity matrix per view"):
+            info_scores(ds, corr=np.eye(3), sims=sims[:2])
+
+    def test_similarity_matrices_must_be_n_by_n(self):
+        ds = random_incomplete(3, n=20, V=3)
+        sims = [pairwise_similarity(ds, u) for u in range(3)]
+        sims[1] = np.zeros((21, 21))
+        with pytest.raises(ValueError, match="similarity matrix of view 1 must be 20 x 20"):
+            info_scores(ds, corr=np.eye(3), sims=sims)
+
     def test_monotone_in_support(self):
         # adding a support sample never decreases the score
         mask = np.array([[1, 0], [1, 1], [1, 1]])
@@ -327,6 +444,103 @@ class TestInfoScores:
         small = info_scores(ds_small, corr=corr, sims=sims_big)
         big = info_scores(ds_big, corr=corr, sims=sims_big)
         assert score_of(big, 0, 1) >= score_of(small, 0, 1)
+
+
+def same_float(a, b):
+    """Bit-equal floats, with any NaN equal to any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def hard_rows(rng, w):
+    """Rows of width w on which rounding is hard to get right."""
+    rows = [np.zeros(w), np.full(w, -0.0)]
+    if w == 0:
+        return np.array(rows)
+    mags = 10.0 ** rng.uniform(-300, 300, size=(6, w))
+    rows += list(mags * rng.choice([-1.0, 1.0], size=(6, w)))
+    rows += list(rng.normal(size=(4, w)))
+    rows += list(rng.normal(size=(2, w)) * 5e-324)  # subnormals
+    rows.append(rng.integers(-5, 6, size=w) * 5e-324)
+    x = rng.normal(size=w) * 10.0 ** rng.integers(-20, 20, size=w)
+    rows.append(np.concatenate([x[: w // 2], -x[: w // 2], x[w // 2:] * 1e-17])[:w])
+    for head in ([1.0, 2.0**-53], [1.0, 2.0**-54, 2.0**-54], [1.0, 2.0**-53, 2.0**-110],
+                 [1.0, -(2.0**-54), -(2.0**-54)], [2.0**53, 1.0, 1.0, -1.0],
+                 [1e300, 1e-300, -1e300], [1.5, 2.0**-53 - 2.0**-97, 2.0**-10, 2.0**-10],
+                 # at width 16 the remainders of these terms do not add up
+                 # exactly, and their rounded total lands on a tie
+                 [1.0] + [float.fromhex(x) for x in ("0x1.0000000000001p-47",
+                                                     "0x1.0000000000001p-47",
+                                                     "0x1.0400000000001p-47",
+                                                     "0x1.f7ffffffffffcp-47")]):
+        rows.append(np.array(head + [0.0] * w)[:w])
+    # w copies of the largest float below a power of two over w: the
+    # extraction's exact part then sits right at its bound
+    for k in (0, 3, 4):
+        big = np.nextafter(2.0**k / w, 0.0)
+        rows += [np.full(w, -big), np.full(w, big)]
+    return np.array(rows)
+
+
+class TestFsumRows:
+    def test_matches_fsum_row_by_row(self):
+        rng = np.random.default_rng(8)
+        for w in (0, 1, 2, 3, 4, 5, 7, 11, 16, 64, 1001):
+            rows = hard_rows(rng, w)
+            sums = _fsum_rows(rows)
+            assert sums.shape == (len(rows),)
+            for row, got in zip(rows.tolist(), sums.tolist()):
+                assert same_float(got, math.fsum(row)), (w, row)
+
+    def test_sums_the_last_axis_of_a_strided_view(self):
+        # info_scores sums (member, view) terms through a transposed view
+        A = np.random.default_rng(2).normal(size=(4, 3, 50)) * 1e3
+        sums = _fsum_rows(A.transpose(0, 2, 1))
+        assert sums.shape == (4, 50)
+        for i in range(4):
+            for j in range(50):
+                assert same_float(sums[i, j], math.fsum(A[i, :, j].tolist()))
+
+    def test_non_finite_rows_give_fsum_value_or_exception(self):
+        inf, nan = math.inf, math.nan
+        rows = [[inf, 1.0], [inf, -inf], [nan, 1.0], [1e308, 1e308],
+                [inf, 1.0, 2.0, 3.0], [-inf, -inf, 1.0, 0.0], [inf, -inf, 1.0, 2.0],
+                [nan, 1.0, 2.0, 3.0], [nan, inf, -inf, 1.0], [1e308, 1e308, -1e308, 1.0],
+                [1e308, -1e308, 1e308, 1.0], [1e308, 1e308, 1e308, 1e308]]
+        for row in rows:
+            try:
+                want = math.fsum(row)
+            except (ValueError, OverflowError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    _fsum_rows(np.array([row]))
+            else:
+                assert same_float(_fsum_rows(np.array([row]))[0], want), row
+
+    def test_only_doubtful_rows_fall_back(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        doubtful = [
+            [1.0, 2.0**-54, 2.0**-54, 0.0],  # exact tie: rounds to even
+            [3.0, 2.0**-53, 2.0**-53, 0.0],
+            [1.0, 2.0**-53, 2.0**-110, 0.0],  # just above a tie
+            # error bound exactly half the gap: the certificate is strict
+            [1.5, 2.0**-53 - 2.0**-97, 2.0**-10, 2.0**-10],
+        ]
+        certain = [
+            [1.0, 2.0**-53, 0.0, 0.0],  # two terms: one IEEE add rounds the tie
+            [1.0, 2.0**-53, 2.0**-80, 0.0],  # near a tie, but provably above it
+            # a tie whose terms are all large enough for the remainders to
+            # add up exactly: the rounded total is already right
+            [1.0, 1.0, 1.0, 2.0**-47 + 2.0**-52],
+        ] + rng.random((40, 4)).tolist()
+        rows = np.array(doubtful + certain)
+        want = [math.fsum(row) for row in rows.tolist()]
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda row: calls.append(row) or fsum(row))
+        got = _fsum_rows(rows)
+        assert calls == doubtful
+        assert all(same_float(g, w) for g, w in zip(got.tolist(), want))
 
 
 class TestSelect:
