@@ -33,7 +33,6 @@ from .model import (
 from .scoring import (
     InfoTable,
     info_scores,
-    pairwise_similarity,
     select_positions,
     view_correlation,
 )

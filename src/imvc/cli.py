@@ -28,6 +28,7 @@ from . import scoring, svg
 from .data import (
     MissingSpec,
     MultiViewDataset,
+    atomic_open,
     generate_mask,
     load_dataset,
     make_synthetic,
@@ -166,25 +167,15 @@ def load_from_config(cfg):
     return normalize(ds)
 
 
-def _header_lines(cfg):
-    return [
-        f"# config_hash={config_hash(cfg)}",
-        f"# config={json.dumps(cfg, sort_keys=True)}",
-    ]
-
-
 def _write_csv(path, cfg, fieldnames, rows):
-    """Write through a temp file in the same directory, then rename, so the
-    file at ``path`` is always either the old or the new complete CSV."""
+    """Write the CSV atomically (``data.atomic_open``)."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        for line in _header_lines(cfg):
-            fh.write(line + "\n")
+    with atomic_open(path, newline="") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)}\n"
+                 f"# config={json.dumps(cfg, sort_keys=True)}\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 def _read_csv(path):
@@ -192,7 +183,6 @@ def _read_csv(path):
     if not os.path.exists(path):
         return None, []
     found = None
-    rows = []
     with open(path) as fh:
         body = []
         for line in fh:
@@ -262,7 +252,7 @@ def cmd_fit(cfg):
     res = fit(ds, tc, checkpoint_dir=out_dir)
     result_path = os.path.join(out_dir, "result.json")
     payload = _result_payload(cfg, res, ds.labels)
-    with open(result_path, "w") as fh:
+    with atomic_open(result_path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
     ckpt_path = os.path.join(out_dir, "model.json")
     M.save_model(res.model, ckpt_path)
@@ -417,9 +407,9 @@ def cmd_sweep(cfg):
     )
     bar_path = os.path.join(cfg["output"]["dir"], "acc_vs_rate.svg")
     line_path = os.path.join(cfg["output"]["dir"], "acc_vs_ratio.svg")
-    with open(bar_path, "w") as fh:
+    with atomic_open(bar_path) as fh:
         fh.write(bar)
-    with open(line_path, "w") as fh:
+    with atomic_open(line_path) as fh:
         fh.write(line)
     print(f"wrote {out} ({len(rows)} runs), {bar_path}, {line_path}")
     return 0

@@ -11,6 +11,8 @@ share across concurrent readers.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,10 +262,22 @@ def make_synthetic(
     return MultiViewDataset(views=views, mask=mask, labels=labels, K=n_clusters)
 
 
+@contextmanager
+def atomic_open(path, newline=None):
+    """Text handle on ``path + ".tmp"``, renamed over ``path`` on success and
+    removed on error, so ``path`` holds the old or the new complete file."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_dataset(dataset, out_dir, prefix="view"):
     """Write one CSV per view plus labels/mask CSVs; returns written paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for v, X in enumerate(dataset.views):

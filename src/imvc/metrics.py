@@ -96,15 +96,14 @@ def plugin_impute(dataset, table, k=10):
     (``scoring.view_distances``; ties go to the lower donor index) and the
     k nearest donate the unweighted mean of their view-v rows. Donors are
     ranked per view over blocks of ``model.QUERY_BLOCK`` querying samples,
-    so memory beyond the distance matrices is O(block * N). Fills are
-    computed from the original observed data only. Returns (new dataset,
-    imputed flag matrix); observed cells and unselected positions are
-    untouched, and filled cells get mask 1.
+    each computing only its own rows of distances, so memory is
+    O(block * N). Fills are computed from the original observed data only.
+    Returns (new dataset, imputed flag matrix); observed cells and
+    unselected positions are untouched, and filled cells get mask 1.
     """
     if k < 1:
         raise ValueError(f"need at least one neighbor, got k={k}")
     mask = dataset.mask.astype(bool)
-    V = dataset.n_views
     new_views = [X.copy() for X in dataset.views]
     new_mask = dataset.mask.copy()
     imputed = np.zeros(mask.shape, dtype=bool)
@@ -114,9 +113,6 @@ def plugin_impute(dataset, table, k=10):
         i, v = pos[observed][0]
         raise ValueError(f"position ({i}, {v}) is observed, nothing to impute")
     views = np.unique(pos[:, 1])
-    dists = [view_distances(dataset, u)[1] for u in range(V)] if views.size else []
-    # row of each observed sample in its view's distance matrix
-    row = np.cumsum(mask, axis=0) - 1
     maskf = mask.astype(np.float64)
     for v in views:
         donors = np.where(mask[:, v])[0]
@@ -127,13 +123,13 @@ def plugin_impute(dataset, table, k=10):
         if lonely.size:
             raise ValueError(f"no donor shares an observed view with sample {lonely[0]}")
         X = dataset.views[v]
+        observers = [np.flatnonzero(m) for m in mask[donors].T]
         for lo in range(0, q.size, QUERY_BLOCK):
             qb = q[lo:lo + QUERY_BLOCK]
             total = np.zeros((qb.size, donors.size))
-            for u in range(V):
-                a = np.where(mask[qb, u])[0]
-                b = np.where(mask[donors, u])[0]
-                total[np.ix_(a, b)] += dists[u][np.ix_(row[qb[a], u], row[donors[b], u])]
+            for u, b in enumerate(observers):
+                a = np.flatnonzero(mask[qb, u])
+                total[np.ix_(a, b)] += view_distances(dataset, u, qb[a], donors[b])
             count = maskf[qb] @ maskf[donors].T
             usable = count > 0
             # donors sharing a view first, each group by mean distance (NaN

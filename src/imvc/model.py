@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_open
 from .nn import SIGMA_MIN, Mlp, sigmoid, softplus
 
 VAR_MIN = SIGMA_MIN**2
@@ -673,7 +674,7 @@ def save_model(model, path):
         "prior_mu": model.prior_mu.tolist(),
         "prior_rho": model.prior_rho.tolist(),
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh)
 
 

@@ -38,8 +38,6 @@ from .model import QUERY_BLOCK
 
 CORR_FLOOR = 1e-3
 CCA_RIDGE = 1e-4
-# rows of the distance matrix per GEMM call in view_distances
-DIST_BLOCK = 4096
 
 
 @dataclass
@@ -67,52 +65,40 @@ class InfoTable:
         return int(self.selected.sum())
 
 
-def view_distances(dataset, u):
-    """Euclidean distances between the samples observed in view u.
+def view_distances(dataset, u, rows, cols):
+    """Euclidean distances in view u from samples ``rows`` to samples ``cols``.
 
-    Returns ``(obs, dist)``: the ascending indices of those samples and
-    their (m, m) distance matrix, zero on the diagonal. Rows are built by
-    the GEMM form |a|^2 + |b|^2 - 2 a.b over blocks of DIST_BLOCK rows.
+    Returns the (len(rows), len(cols)) matrix of sqrt(sum_k (a_k - b_k)^2),
+    summed one feature at a time in ascending k with separate elementwise
+    subtract, multiply and add: no GEMM, no FMA and no reduction whose
+    order depends on the array shape. Each entry is thus the same sequence
+    of IEEE operations whatever else the call holds, so any block of rows
+    and columns gives bit-equal values, and the matrix is exactly symmetric.
+    """
+    X = dataset.views[u]
+    A = np.ascontiguousarray(X[rows].T)
+    B = np.ascontiguousarray(X[cols].T)
+    acc = np.zeros((A.shape[1], B.shape[1]))
+    diff = np.empty_like(acc)
+    for a, b in zip(A, B):
+        np.subtract(a[:, None], b, out=diff)
+        np.multiply(diff, diff, out=diff)
+        acc += diff
+    return np.sqrt(acc, out=acc)
+
+
+def max_view_distance(dataset, u):
+    """d_max of view u: the largest distance between two samples observing it.
+
+    One pass of ``view_distances`` over blocks of ``QUERY_BLOCK`` rows, each
+    against itself and the later rows, equals the dense matrix's maximum
+    because the kernel is symmetric and block-invariant.
     """
     obs = dataset.observed(u)
-    X = dataset.views[u][obs]
-    m = obs.size
-    dist = np.zeros((m, m))
-    sq = np.sum(X * X, axis=1)
-    for start in range(0, m, DIST_BLOCK):
-        rows = slice(start, start + DIST_BLOCK)
-        block = dist[rows]
-        gram = X[rows] @ X.T
-        gram *= 2.0
-        np.add(sq[rows, None], sq[None, :], out=block)
-        block -= gram
-        np.maximum(block, 0.0, out=block)
-        np.sqrt(block, out=block)
-    np.fill_diagonal(dist, 0.0)
-    return obs, dist
-
-
-def pairwise_similarity(dataset, u):
-    """Similarity matrix of view u over samples observed in that view.
-
-    sim = (1 - d / d_max)^2 with d from ``view_distances`` and d_max the
-    largest observed pairwise distance, so the metric is invariant to
-    rescaling the view. Entries involving an unobserved sample are 0 and
-    must be guarded by the mask.
-    """
-    obs, dist = view_distances(dataset, u)
-    m = obs.size
-    if m < 2:
-        raise ValueError(f"view {u} needs at least 2 observed samples, has {m}")
-    d_max = dist.max()
-    if d_max == 0.0:
-        sim_obs = np.ones((m, m))
-    else:
-        sim_obs = (1.0 - dist / d_max) ** 2
-    n = dataset.n_samples
-    sim = np.zeros((n, n))
-    sim[np.ix_(obs, obs)] = sim_obs
-    return sim
+    if obs.size < 2:
+        raise ValueError(f"view {u} needs at least 2 observed samples, has {obs.size}")
+    return float(np.max([view_distances(dataset, u, obs[lo:lo + QUERY_BLOCK], obs[lo:]).max()
+                         for lo in range(0, obs.size, QUERY_BLOCK)]))
 
 
 def _inv_sqrt_psd(S):
@@ -176,8 +162,10 @@ def info_scores(dataset, latents=None, corr=None, sims=None):
     """Score every missing position; returns an InfoTable with nothing
     selected yet.
 
-    Either pass precomputed per-view similarity matrices and a correlation
-    matrix, or latents from which the correlations are estimated. Empty
+    Pass a correlation matrix, or latents from which it is estimated. The
+    similarities are streamed by query block from ``view_distances`` and
+    each view's ``max_view_distance``, so no N x N array is built; ``sims``
+    may instead give one dense (N, N) similarity matrix per view. Empty
     support sets score 0.
 
     Each target view v is scored over blocks of the samples missing it,
@@ -190,8 +178,6 @@ def info_scores(dataset, latents=None, corr=None, sims=None):
     mask = dataset.mask
     V = dataset.n_views
     n = dataset.n_samples
-    if sims is None:
-        sims = [pairwise_similarity(dataset, u) for u in range(V)]
     if corr is None:
         if latents is None:
             raise ValueError("need either latents or a correlation matrix")
@@ -202,13 +188,16 @@ def info_scores(dataset, latents=None, corr=None, sims=None):
         raise ValueError(f"correlation matrix must be {V} x {V}, got shape {corr.shape}")
     if not np.array_equal(np.diag(corr), np.ones(V)):
         raise ValueError("correlation matrix must have a unit diagonal")
-    if len(sims) != V:
-        raise ValueError(f"need one similarity matrix per view ({V}), got {len(sims)}")
-    for u, s in enumerate(sims):
-        if np.shape(s) != (n, n):
-            raise ValueError(f"similarity matrix of view {u} must be {n} x {n}, "
-                             f"got shape {np.shape(s)}")
-    flat_sims = [np.ravel(np.asarray(s, dtype=np.float64)) for s in sims]
+    if sims is None:
+        d_max = [max_view_distance(dataset, u) for u in range(V)]
+    else:
+        if len(sims) != V:
+            raise ValueError(f"need one similarity matrix per view ({V}), got {len(sims)}")
+        for u, s in enumerate(sims):
+            if np.shape(s) != (n, n):
+                raise ValueError(f"similarity matrix of view {u} must be {n} x {n}, "
+                                 f"got shape {np.shape(s)}")
+        flat_sims = [np.ravel(np.asarray(s, dtype=np.float64)) for s in sims]
 
     positions = np.asarray(dataset.missing_positions(), dtype=np.int64).reshape(-1, 2)
     scores = np.zeros(len(positions))
@@ -224,16 +213,27 @@ def info_scores(dataset, latents=None, corr=None, sims=None):
         # are contiguous, and the per-member sums run over axis 1
         step = max(1, QUERY_BLOCK * n // (V * donors.size))
         observes = np.ascontiguousarray(maskb[donors].T)
+        observers = [np.flatnonzero(o) for o in observes]
         for lo in range(0, queries.size, step):
             qb = queries[lo:lo + step]
-            cells = qb[:, None] * n + donors  # flat (query, donor) indices
             shared = maskb[qb][:, :, None] & observes  # [:, v] is False
             member = shared.any(axis=1)
-            cross = np.empty(shared.shape)
-            for u in range(V):
-                np.take(flat_sims[u], cells, out=cross[:, u])
-                cross[:, u] *= corr[u, v]
-            cross *= shared
+            if sims is None:
+                # (1 - d / d_max)^2 corr[u, v] on the pairs observing u,
+                # 0 in every other cell
+                cross = np.zeros(shared.shape)
+                for u, b in enumerate(observers):
+                    a = np.flatnonzero(maskb[qb, u])  # empty for u = v
+                    d = view_distances(dataset, u, qb[a], donors[b])
+                    sim = np.ones_like(d) if d_max[u] == 0.0 else (1.0 - d / d_max[u]) ** 2
+                    cross[:, u][np.ix_(a, b)] = sim * corr[u, v]
+            else:
+                cells = qb[:, None] * n + donors  # flat (query, donor) indices
+                cross = np.empty(shared.shape)
+                for u in range(V):
+                    np.take(flat_sims[u], cells, out=cross[:, u])
+                    cross[:, u] *= corr[u, v]
+                cross *= shared
             # non-members are not part of the sum: zero them rather than
             # multiply, so that a NaN similarity there stays out
             rows, cols = np.nonzero(~member)

@@ -1,0 +1,29 @@
+"""Shared fixtures."""
+
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def src_env():
+    """Environment for a subprocess that must import ``imvc`` from this
+    checkout's ``src``, whatever ``PYTHONPATH`` the test run was given."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+@pytest.fixture
+def failing_json_dump(monkeypatch):
+    """Make ``json.dump`` write the start of its document, then fail."""
+    def dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:10])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump)

@@ -11,6 +11,8 @@ query x donor distance matrix and a stable argsort.
 ``metrics.plugin_impute`` one selected position at a time, from dense
 N x N distance matrices per view. ``info_scores_per_position`` scores one
 missing position at a time with one ``math.fsum`` per support member.
+``pairwise_similarity`` is the dense N x N similarity matrix of one view
+that ``scoring.info_scores`` streams by query blocks.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 
 from imvc.data import MultiViewDataset
 from imvc.model import GaussianPosterior, aggregate_observed, fuse, w2_distance
-from imvc.scoring import InfoTable
+from imvc.scoring import InfoTable, view_distances
 
 
 def _row(post, i):
@@ -239,3 +241,17 @@ def info_scores_per_position(dataset, corr, sims):
         scores=scores,
         selected=np.zeros(len(positions), dtype=bool),
     )
+
+
+def pairwise_similarity(dataset, u):
+    """Dense (N, N) similarities of view u: sim = (1 - d / d_max)^2 over the
+    pairs observing u, with d from ``view_distances`` over every observed
+    row and d_max its maximum (sim = 1 when d_max is 0); 0 elsewhere."""
+    obs = dataset.observed(u)
+    if obs.size < 2:
+        raise ValueError(f"view {u} needs at least 2 observed samples, has {obs.size}")
+    dist = view_distances(dataset, u, obs, obs)
+    d_max = dist.max()
+    sim = np.zeros((dataset.n_samples, dataset.n_samples))
+    sim[np.ix_(obs, obs)] = 1.0 if d_max == 0.0 else (1.0 - dist / d_max) ** 2
+    return sim

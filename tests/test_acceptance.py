@@ -18,12 +18,12 @@ import pytest
 from imvc.data import MultiViewDataset, load_dataset, normalize
 from imvc.metrics import accuracy, ari, nmi, plugin_impute
 from imvc.model import GaussianPosterior, fuse, loss_and_grads, w2_distance
-from imvc.scoring import info_scores, pairwise_similarity, select_positions
+from imvc.scoring import info_scores, select_positions
 from imvc.trainer import TrainConfig, fit, pretrain, calibrate_heads
 from imvc import model as M
 from imvc import scoring
 
-from oracles import score_of
+from oracles import pairwise_similarity, score_of
 from test_metrics import accuracy_bruteforce, ari_paircount
 from test_model import make_loss_instance, rel_err
 from test_scoring import info_scores_oracle, random_incomplete

@@ -146,6 +146,14 @@ class TestFit:
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
 
+    def test_failed_write_keeps_previous_result(self, workspace, tmp_path,
+                                                failing_json_dump):
+        root, cfg = workspace
+        (tmp_path / "result.json").write_text("previous")
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert (tmp_path / "result.json").read_text() == "previous"
+        assert os.listdir(tmp_path) == ["result.json"]
+
 
 class TestSweep:
     def test_rows_and_aggregates(self, workspace):
@@ -303,10 +311,10 @@ class TestExitCodes:
         assert main(["gen-mask", "--out", "x.csv"]) == 1
         capsys.readouterr()
 
-    def test_console_entry_point(self):
+    def test_console_entry_point(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "imvc.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env,
         )
         assert proc.returncode == 0
         for name in ("score", "fit", "sweep", "plugin", "gen-data", "gen-mask"):

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from imvc.data import (
     MissingSpec,
     MultiViewDataset,
+    atomic_open,
     generate_mask,
     load_dataset,
     make_synthetic,
@@ -171,3 +174,24 @@ class TestSynthetic:
         b = make_synthetic(n_samples=50, seed=12)
         for X, Y in zip(a.views, b.views):
             np.testing.assert_array_equal(X, Y)
+
+
+class TestAtomicOpen:
+    def test_replaces_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with atomic_open(path) as fh:
+            fh.write("new")
+            assert path.read_text() == "old"
+        assert path.read_text() == "new"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_error_keeps_old_file_and_removes_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("half")
+                raise RuntimeError
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.txt"]

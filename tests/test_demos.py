@@ -13,13 +13,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     "demo",
     ["01_data_and_masks.py", "02_informativeness_scores.py", "03_fused_posteriors.py"],
 )
-def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
-    )
+def test_demo_runs(demo, src_env):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "demos", demo)],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+        capture_output=True, text=True, env=src_env, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

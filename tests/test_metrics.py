@@ -6,9 +6,10 @@ import pytest
 from imvc.data import MultiViewDataset
 from imvc.metrics import accuracy, ari, nmi, plugin_impute
 from imvc.model import QUERY_BLOCK
-from imvc.scoring import InfoTable
+from imvc.scoring import InfoTable, info_scores, select_positions
 
 from oracles import plugin_impute_per_position
+from test_scoring import scale_instance, traced_peak_bytes
 
 
 # ---------------- independent oracles ----------------
@@ -262,6 +263,13 @@ class TestPluginImpute:
                 np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(out.mask, ref.mask)
             np.testing.assert_array_equal(flags, ref_flags)
+
+    def test_memory_stays_below_quadratic(self):
+        # every view's (m, m) distance matrix, held for the whole call,
+        # peaked at about 109 MB
+        ds, corr = scale_instance()
+        table = select_positions(info_scores(ds, corr=corr), 0.3)
+        assert traced_peak_bytes(plugin_impute, ds, table, k=10) < 64 * 2**20
 
     @pytest.mark.parametrize("mask,select,message", [
         ([[1, 0], [1, 1], [1, 1]], (1, 1), r"\(1, 1\) is observed"),

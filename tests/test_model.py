@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -774,3 +775,13 @@ def test_model_checkpoint_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         (tmp_path / "junk.json").write_text("{}")
         load_model(tmp_path / "junk.json")
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, failing_json_dump):
+    ds = small_dataset(50)
+    path = tmp_path / "model.json"
+    path.write_text("previous")
+    with pytest.raises(OSError, match="disk full"):
+        save_model(small_model(ds, 50), path)
+    assert path.read_text() == "previous"
+    assert os.listdir(tmp_path) == ["model.json"]

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from imvc.scoring import (
     _fsum_rows,
     first_canonical_correlation,
     info_scores,
-    pairwise_similarity,
+    max_view_distance,
     select_positions,
     view_correlation,
+    view_distances,
 )
 
-from oracles import info_scores_per_position, score_of
+from oracles import info_scores_per_position, pairwise_similarity, score_of
 
 
 def random_incomplete(seed, n=20, V=3, dims=(3, 2, 4), rate=0.35):
@@ -91,6 +93,38 @@ def assert_per_position_scores(ds, corr, sims):
     assert np.array_equal(got.positions, want.positions)
     assert np.array_equal(got.scores, want.scores, equal_nan=True)
     return got.scores
+
+
+def assert_streamed_equals_dense(ds, corr):
+    """The default (streamed) info_scores equals, bit for bit, the scores
+    from the dense oracle similarity matrices; returns the scores."""
+    sims = [pairwise_similarity(ds, u) for u in range(ds.n_views)]
+    got = info_scores(ds, corr=corr)
+    want = info_scores(ds, corr=corr, sims=sims)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.scores, want.scores)
+    return got.scores
+
+
+def scale_instance():
+    """The N=3000 instance of the memory tests: a 0.8/0.5/0.2 mask at
+    eta=0.5, and a fixed correlation matrix."""
+    n = 3000
+    base = make_synthetic(n_samples=n, seed=0)
+    mask = generate_mask(n, 3, MissingSpec(np.array([0.8, 0.5, 0.2]), 0.5, seed=1))
+    corr = np.full((3, 3), 0.6)
+    np.fill_diagonal(corr, 1.0)
+    return MultiViewDataset(views=base.views, mask=mask), corr
+
+
+def traced_peak_bytes(fn, *args, **kwargs):
+    """tracemalloc peak of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def unit_score(ds, i, v, sims=None):
@@ -181,15 +215,75 @@ class TestPairwiseSimilarity:
     def test_fewer_than_two_observed(self):
         mask = np.array([[1, 1], [0, 1], [0, 1]])
         ds = MultiViewDataset(views=[np.zeros((3, 1)), np.zeros((3, 1))], mask=mask)
-        with pytest.raises(ValueError):
-            pairwise_similarity(ds, 0)
+        with pytest.raises(ValueError, match="view 0 needs at least 2 observed samples"):
+            info_scores(ds, corr=np.eye(2))
 
     def test_blockwise_matches_direct(self, monkeypatch):
         ds = random_incomplete(4, n=50)
-        a = pairwise_similarity(ds, 1)
-        monkeypatch.setattr("imvc.scoring.DIST_BLOCK", 7)
-        b = pairwise_similarity(ds, 1)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        obs = ds.observed(1)
+        monkeypatch.setattr(scoring, "QUERY_BLOCK", 7)
+        d_max = max_view_distance(ds, 1)
+        dist = np.vstack([view_distances(ds, 1, obs[lo:lo + 7], obs)
+                          for lo in range(0, obs.size, 7)])
+        sim = np.zeros((50, 50))
+        sim[np.ix_(obs, obs)] = (1.0 - dist / d_max) ** 2
+        assert np.array_equal(sim, pairwise_similarity(ds, 1))
+
+
+def sequential_distance(x, y):
+    """sqrt(sum_k (x_k - y_k)^2), one Python float operation at a time."""
+    acc = 0.0
+    for a, b in zip(x.tolist(), y.tolist()):
+        diff = a - b
+        acc += diff * diff
+    return math.sqrt(acc)
+
+
+class TestViewDistances:
+    @staticmethod
+    def instance(seed, n=60, d=12):
+        """Features of mixed magnitude, so sums of squares round."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        mask = np.ones((n, 2), dtype=int)
+        mask[rng.random(n) < 0.3, 0] = 0
+        return MultiViewDataset(views=[X, rng.normal(size=(n, 1))], mask=mask)
+
+    @pytest.mark.parametrize("d", [1, 3, 12, 40])
+    def test_block_invariant(self, d):
+        ds = self.instance(d, d=d)
+        obs = ds.observed(0)
+        full = view_distances(ds, 0, obs, obs)
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            ri = rng.choice(obs.size, size=int(rng.integers(1, obs.size)))
+            ci = rng.choice(obs.size, size=int(rng.integers(1, obs.size)))
+            got = view_distances(ds, 0, obs[ri], obs[ci])
+            assert np.array_equal(got, full[np.ix_(ri, ci)])
+        assert np.array_equal(view_distances(ds, 0, obs[3:4], obs), full[3:4])
+        assert np.array_equal(view_distances(ds, 0, obs, obs[5:6]), full[:, 5:6])
+        assert view_distances(ds, 0, obs[:0], obs).shape == (0, obs.size)
+        assert view_distances(ds, 0, obs, obs[:0]).shape == (obs.size, 0)
+
+    @pytest.mark.parametrize("d", [1, 3, 12, 40])
+    def test_sequential_symmetric_and_zero_diagonal(self, d):
+        ds = self.instance(10 + d, n=30, d=d)
+        X = ds.views[0]
+        full = view_distances(ds, 0, np.arange(30), np.arange(30))
+        want = np.array([[sequential_distance(X[i], X[j]) for j in range(30)]
+                         for i in range(30)])
+        assert np.array_equal(full, want)
+        assert np.array_equal(full, full.T)
+        assert np.all(np.diag(full) == 0.0)
+
+    def test_max_matches_dense(self, monkeypatch):
+        for seed, d in enumerate((1, 3, 12, 40)):
+            ds = self.instance(20 + seed, n=45, d=d)
+            obs = ds.observed(0)
+            dense = view_distances(ds, 0, obs, obs).max()
+            for block in (1, 2, 5, QUERY_BLOCK):
+                monkeypatch.setattr(scoring, "QUERY_BLOCK", block)
+                assert max_view_distance(ds, 0) == dense
 
 
 class TestCca:
@@ -406,6 +500,46 @@ class TestInfoScores:
         sims = [pairwise_similarity(ds, u) for u in range(2)]
         scores = assert_per_position_scores(ds, np.eye(2), sims)
         assert np.isnan(scores).all()
+
+    def test_streamed_equal_to_dense(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        # random instances, V = 2-4
+        for seed in range(30):
+            V = 2 + seed % 3
+            ds = random_incomplete(600 + seed, n=int(rng.integers(8, 41)), V=V,
+                                   dims=(3, 2, 4, 2))
+            assert_streamed_equals_dense(ds, random_corr(rng, V))
+
+        # blocks down to a single querying sample
+        ds = random_incomplete(78, n=40, V=3)
+        corr = random_corr(rng, 3)
+        for block in (1, 2, 5):
+            monkeypatch.setattr(scoring, "QUERY_BLOCK", block)
+            assert_streamed_equals_dense(ds, corr)
+        monkeypatch.undo()
+
+        # the observed points of view 1 all coincide: d_max = 0, so every
+        # similarity in that view is 1
+        ds = random_incomplete(79, n=30, V=3)
+        views = list(ds.views)
+        views[1] = np.tile(views[1][:1], (30, 1))
+        ds = MultiViewDataset(views, ds.mask)
+        assert max_view_distance(ds, 1) == 0.0
+        assert np.all(assert_streamed_equals_dense(ds, corr) > 0)
+
+        # a view with exactly two observers
+        mask = ds.mask.copy()
+        mask[:, 2] = 0
+        mask[[4, 17], 2] = 1
+        mask[mask.sum(axis=1) == 0, 0] = 1
+        ds = MultiViewDataset(random_incomplete(80, n=30, V=3).views, mask)
+        assert ds.observed(2).size == 2
+        assert np.any(assert_streamed_equals_dense(ds, corr) > 0)
+
+    def test_memory_stays_below_quadratic(self):
+        # dense N x N similarity matrices peaked at about 294 MB
+        ds, corr = scale_instance()
+        assert traced_peak_bytes(info_scores, ds, corr=corr) < 64 * 2**20
 
     def test_corr_must_be_v_by_v(self):
         ds = random_incomplete(3, V=3)
