@@ -33,6 +33,7 @@ from .data import (
     load_dataset,
     make_synthetic,
     normalize,
+    save_csv,
     save_dataset,
 )
 from .metrics import plugin_impute
@@ -490,7 +491,7 @@ def cmd_gen_mask(cfg, args):
     )
     mask = generate_mask(args.samples, len(spec.per_view_missing_prob), spec)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    np.savetxt(args.out, mask, delimiter=",", fmt="%d")
+    save_csv(args.out, mask, "%d")
     print(f"wrote {args.out} (realized missing rate {1 - mask.mean():.4f})")
     return 0
 

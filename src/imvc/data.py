@@ -276,19 +276,26 @@ def atomic_open(path, newline=None):
             os.remove(tmp)
 
 
+def save_csv(path, X, fmt):
+    """Write a 2-D array as comma-separated rows through ``atomic_open``, so
+    a failed write leaves the previous file in place."""
+    with atomic_open(path) as fh:
+        np.savetxt(fh, X, delimiter=",", fmt=fmt)
+
+
 def save_dataset(dataset, out_dir, prefix="view"):
     """Write one CSV per view plus labels/mask CSVs; returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for v, X in enumerate(dataset.views):
         p = os.path.join(out_dir, f"{prefix}{v}.csv")
-        np.savetxt(p, X, delimiter=",", fmt="%.10g")
+        save_csv(p, X, "%.10g")
         paths[f"view{v}"] = p
     mp = os.path.join(out_dir, "mask.csv")
-    np.savetxt(mp, dataset.mask, delimiter=",", fmt="%d")
+    save_csv(mp, dataset.mask, "%d")
     paths["mask"] = mp
     if dataset.labels is not None:
         lp = os.path.join(out_dir, "labels.csv")
-        np.savetxt(lp, dataset.labels[:, None], delimiter=",", fmt="%d")
+        save_csv(lp, dataset.labels[:, None], "%d")
         paths["labels"] = lp
     return paths

@@ -24,39 +24,16 @@ SIGMA_MIN = 1e-4
 HEAD_KINDS = ("identity", "softplus")
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
 def softplus(x):
     # max(x,0) + log1p(exp(-|x|)) never overflows
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _apply_head(kind, a):
-    if kind == "identity":
-        return a
-    if kind == "softplus":
-        return softplus(a) + SIGMA_MIN
-    raise ValueError(f"unknown head kind {kind!r}")
-
-
-def _head_grad(kind, a):
-    """d(head output)/d(pre-activation), elementwise."""
-    if kind == "identity":
-        return np.ones_like(a)
-    if kind == "softplus":
-        return sigmoid(a)
-    raise ValueError(f"unknown head kind {kind!r}")
+    # exp(-|x|) <= 1 never overflows; each branch is the textbook form on its
+    # side of zero, so the result equals the per-sign masked evaluation
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class Mlp:
@@ -84,6 +61,13 @@ class Mlp:
         if sum(w for _, w in self.heads) != self.layer_dims[-1]:
             raise ValueError("head widths must sum to the output dimension")
 
+        self._head_slices = []
+        start = 0
+        for kind, width in self.heads:
+            self._head_slices.append((kind, slice(start, start + width)))
+            start += width
+        self._softplus_slices = [sl for kind, sl in self._head_slices if kind == "softplus"]
+
         rng = np.random.default_rng(seed)
         self.weights = []
         self.biases = []
@@ -109,11 +93,7 @@ class Mlp:
 
     def head_slices(self):
         """(kind, slice) pairs over the output columns."""
-        out, start = [], 0
-        for kind, width in self.heads:
-            out.append((kind, slice(start, start + width)))
-            start += width
-        return out
+        return list(self._head_slices)
 
     def forward(self, X):
         """Returns (Y, cache). Rows of X are samples."""
@@ -124,14 +104,16 @@ class Mlp:
             )
         inputs = [X]
         h = X
-        for l in range(self.n_layers - 1):
-            a = h @ self.weights[l] + self.biases[l]
-            h = relu(a)
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
             inputs.append(h)
         a_out = h @ self.weights[-1] + self.biases[-1]
-        Y = np.empty_like(a_out)
-        for kind, sl in self.head_slices():
-            Y[:, sl] = _apply_head(kind, a_out[:, sl])
+        # identity heads pass the linear output through
+        Y = a_out.copy()
+        for sl in self._softplus_slices:
+            Y[:, sl] = softplus(a_out[:, sl]) + SIGMA_MIN
         return Y, (inputs, a_out)
 
     def backward(self, cache, d_out):
@@ -143,9 +125,11 @@ class Mlp:
         d_out = np.asarray(d_out, dtype=np.float64)
         if d_out.shape != a_out.shape:
             raise ValueError("gradient shape does not match cached forward")
-        da = np.empty_like(d_out)
-        for kind, sl in self.head_slices():
-            da[:, sl] = d_out[:, sl] * _head_grad(kind, a_out[:, sl])
+        # identity heads have unit slope, softplus heads slope sigmoid; the
+        # copy leaves the caller's array unwritten
+        da = d_out.copy(order="K")
+        for sl in self._softplus_slices:
+            da[:, sl] *= sigmoid(a_out[:, sl])
 
         grads = [None] * (2 * self.n_layers)
         for l in range(self.n_layers - 1, -1, -1):
@@ -153,9 +137,9 @@ class Mlp:
             grads[2 * l] = h_in.T @ da
             grads[2 * l + 1] = da.sum(axis=0)
             if l > 0:
-                dh = da @ self.weights[l].T
+                da = da @ self.weights[l].T
                 # ReLU mask: inputs[l] holds the post-activation of layer l-1
-                da = dh * (inputs[l] > 0)
+                np.multiply(da, h_in > 0, out=da)
         dX = da @ self.weights[0].T
         return grads, dX
 
@@ -179,8 +163,12 @@ class Mlp:
 class Adam:
     """Bias-corrected adaptive-moment optimizer over a flat parameter list.
 
-    Parameters are updated in place; moment buffers are keyed by position,
-    so the same list (same shapes, same order) must be passed every step.
+    Parameters are updated in place. Both moments live in one flat float64
+    buffer each, laid out in the order of the parameter list given at
+    construction, so the same list (same shapes, same order) must be passed
+    every step. A step updates the whole buffer with elementwise operations
+    only, so every element sees the same IEEE operations as an update run
+    array by array.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -189,32 +177,43 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._shapes = [p.shape for p in params]
+        self.m = np.zeros(sum(p.size for p in params))
+        self.v = np.zeros_like(self.m)
+        self._grad = np.empty_like(self.m)
+        self._upd = np.empty_like(self.m)
+        # each parameter's update, as a view of the flat update buffer
+        self._upd_views, start = [], 0
+        for p in params:
+            self._upd_views.append(self._upd[start : start + p.size].reshape(p.shape))
+            start += p.size
 
     def step(self, params, grads):
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+        if len(params) != len(self._shapes) or len(grads) != len(self._shapes):
             raise ValueError("parameter/gradient list does not match optimizer state")
+        for p, g, shape in zip(params, grads, self._shapes):
+            if p.shape != shape or g.shape != shape:
+                raise ValueError("gradient shape mismatch")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            if p.shape != g.shape:
-                raise ValueError("gradient shape mismatch")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        g = np.concatenate([g.ravel() for g in grads], out=self._grad)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        np.divide(self.lr * (m / b1t), np.sqrt(v / b2t) + self.eps, out=self._upd)
+        for p, upd in zip(params, self._upd_views):
+            p -= upd
 
     def state_dict(self):
-        return {
-            "t": self.t,
-            "m": [a.copy() for a in self.m],
-            "v": [a.copy() for a in self.v],
-        }
+        return {"t": self.t, "m": self.m.copy(), "v": self.v.copy()}
 
     def load_state_dict(self, state):
+        m = np.array(state["m"], dtype=np.float64)
+        v = np.array(state["v"], dtype=np.float64)
+        if m.shape != self.m.shape or v.shape != self.v.shape:
+            raise ValueError("moment buffers do not match optimizer state")
         self.t = state["t"]
-        self.m = [a.copy() for a in state["m"]]
-        self.v = [a.copy() for a in state["v"]]
+        self.m, self.v = m, v

@@ -92,12 +92,12 @@ def pretrain(model, dataset, config):
     d = model.d_z
     losses = []
     obs_rows = [dataset.observed(v) for v in range(model.n_views)]
+    obs_X = [dataset.views[v][rows] for v, rows in enumerate(obs_rows)]
     for _ in range(config.pretrain_epochs):
         total = 0.0
         enc_grads, dec_grads = [], []
         for v in range(model.n_views):
-            rows = obs_rows[v]
-            X = dataset.views[v][rows]
+            X = obs_X[v]
             out_e, cache_e = model.encoders[v].forward(X)
             mu = out_e[:, :d]
             out_d, cache_d = model.decoders[v].forward(mu)
@@ -132,7 +132,7 @@ def pretrain(model, dataset, config):
         H = np.zeros((dataset.n_samples, d))
         rows = obs_rows[v]
         if rows.size:
-            H[rows] = M.encode_view(model, v, dataset.views[v][rows]).mu
+            H[rows] = M.encode_view(model, v, obs_X[v]).mu
         latents.append(H)
     return latents, losses
 

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -27,3 +28,15 @@ def failing_json_dump(monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(json, "dump", dump)
+
+
+@pytest.fixture
+def failing_savetxt(monkeypatch):
+    """Make ``np.savetxt`` write the first line of its file, then fail."""
+    real = np.savetxt
+
+    def savetxt(fh, X, **kwargs):
+        real(fh, np.asarray(X)[:1], **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savetxt", savetxt)

@@ -13,6 +13,11 @@ N x N distance matrices per view. ``info_scores_per_position`` scores one
 missing position at a time with one ``math.fsum`` per support member.
 ``pairwise_similarity`` is the dense N x N similarity matrix of one view
 that ``scoring.info_scores`` streams by query blocks.
+
+``AdamPerArray``, ``sigmoid_masked``, ``mlp_forward`` and
+``mlp_backward`` are the optimiser step, the sigmoid and the MLP passes of
+``imvc.nn`` written array by array, with boolean masks and one head slice
+at a time.
 """
 
 import math
@@ -21,6 +26,7 @@ import numpy as np
 
 from imvc.data import MultiViewDataset
 from imvc.model import GaussianPosterior, aggregate_observed, fuse, w2_distance
+from imvc.nn import SIGMA_MIN, softplus
 from imvc.scoring import InfoTable, view_distances
 
 
@@ -255,3 +261,90 @@ def pairwise_similarity(dataset, u):
     sim = np.zeros((dataset.n_samples, dataset.n_samples))
     sim[np.ix_(obs, obs)] = 1.0 if d_max == 0.0 else (1.0 - dist / d_max) ** 2
     return sim
+
+
+def sigmoid_masked(x):
+    """Logistic function evaluated separately on each side of zero."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def mlp_backward(net, cache, d_out):
+    """``Mlp.backward`` with one head-slope product per head and a fresh
+    ReLU-masked array per layer."""
+    inputs, a_out = cache
+    d_out = np.asarray(d_out, dtype=np.float64)
+    da = np.empty_like(d_out)
+    for kind, sl in net.head_slices():
+        slope = np.ones_like(a_out[:, sl]) if kind == "identity" else sigmoid_masked(a_out[:, sl])
+        da[:, sl] = d_out[:, sl] * slope
+    grads = [None] * (2 * net.n_layers)
+    for l in range(net.n_layers - 1, -1, -1):
+        h_in = inputs[l]
+        grads[2 * l] = h_in.T @ da
+        grads[2 * l + 1] = da.sum(axis=0)
+        if l > 0:
+            dh = da @ net.weights[l].T
+            da = dh * (inputs[l] > 0)
+    dX = da @ net.weights[0].T
+    return grads, dX
+
+
+def mlp_forward(net, X):
+    """``Mlp.forward`` with a separate ReLU array per layer and each head
+    written into its own output slice."""
+    inputs = [X]
+    h = X
+    for l in range(net.n_layers - 1):
+        a = h @ net.weights[l] + net.biases[l]
+        h = np.maximum(a, 0.0)
+        inputs.append(h)
+    a_out = h @ net.weights[-1] + net.biases[-1]
+    Y = np.empty_like(a_out)
+    for kind, sl in net.head_slices():
+        Y[:, sl] = a_out[:, sl] if kind == "identity" else softplus(a_out[:, sl]) + SIGMA_MIN
+    return Y, (inputs, a_out)
+
+
+class AdamPerArray:
+    """Adam with one pair of moment arrays per parameter array."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = float(lr)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        if len(params) != len(self.m) or len(grads) != len(self.m):
+            raise ValueError("parameter/gradient list does not match optimizer state")
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            if p.shape != g.shape:
+                raise ValueError("gradient shape mismatch")
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+    def state_dict(self):
+        return {
+            "t": self.t,
+            "m": [a.copy() for a in self.m],
+            "v": [a.copy() for a in self.v],
+        }
+
+    def load_state_dict(self, state):
+        self.t = state["t"]
+        self.m = [a.copy() for a in state["m"]]
+        self.v = [a.copy() for a in state["v"]]

@@ -194,6 +194,7 @@ class TestCriterion4W2Metric:
         report(4, f"10000 triples, worst triangle violation {violation:.2e}")
 
 
+@pytest.mark.slow
 class TestCriterion5RatioShape:
     def test_interior_ratio_is_best(self, ratio_sweep):
         medians, elapsed = ratio_sweep
@@ -209,6 +210,7 @@ class TestCriterion5RatioShape:
         )
 
 
+@pytest.mark.slow
 class TestCriterion6Degradation:
     def test_moderate_ratio_beats_imputation_free(self, ratio_sweep):
         medians, _ = ratio_sweep
@@ -299,6 +301,7 @@ dir = {tmp_path}/r1
         report(8, "equal seeds give identical result JSONs")
 
 
+@pytest.mark.slow
 class TestCriterion9Plugin:
     def test_selected_plugin_beats_extremes(self, toy_dataset):
         ds = toy_dataset

@@ -307,6 +307,18 @@ class TestExitCodes:
                    "--set", setting])
         assert rc == 1
 
+    def test_failed_gen_mask_keeps_previous_file(self, tmp_path, request, capsys):
+        out = tmp_path / "mask.csv"
+        args = ["gen-mask", "--out", str(out), "--samples", "30",
+                "--probs", "0.4,0.2", "--rate", "0.3"]
+        assert main([*args, "--seed", "1"]) == 0
+        before = out.read_text()
+        request.getfixturevalue("failing_savetxt")
+        assert main([*args, "--seed", "2"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_text() == before
+        assert os.listdir(tmp_path) == ["mask.csv"]
+
     def test_bad_subcommand_usage(self, capsys):
         assert main(["gen-mask", "--out", "x.csv"]) == 1
         capsys.readouterr()

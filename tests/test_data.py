@@ -76,6 +76,17 @@ class TestLoad:
             np.testing.assert_allclose(X, Y, atol=1e-9)
         np.testing.assert_array_equal(ds.labels, back.labels)
 
+    def test_failed_save_keeps_previous_files(self, tmp_path, request):
+        ds = make_synthetic(n_samples=20, n_clusters=2, view_dims=(3, 2), seed=5)
+        paths = save_dataset(ds, tmp_path)
+        before = {p: open(p).read() for p in paths.values()}
+        request.getfixturevalue("failing_savetxt")
+        other = make_synthetic(n_samples=20, n_clusters=2, view_dims=(3, 2), seed=6)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(other, tmp_path)
+        assert {p: open(p).read() for p in paths.values()} == before
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in before)
+
 
 class TestNormalize:
     def make(self, col, mask_col):

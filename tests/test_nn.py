@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from imvc.nn import SIGMA_MIN, Adam, Mlp, softplus
+from imvc.model import DmgmmModel
+from imvc.nn import SIGMA_MIN, Adam, Mlp, sigmoid, softplus
+from oracles import AdamPerArray, mlp_backward, mlp_forward, sigmoid_masked
 
 
 def fd_param_grads(loss_fn, params, h=1e-5):
@@ -220,6 +222,115 @@ class TestAdam:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
+    @staticmethod
+    def mixed_params(rng):
+        """(K,), (K, d) and (1,) arrays, then the 39 arrays of a 3-view model."""
+        model = DmgmmModel.build([5, 4, 6], K=3, d_z=2, hidden=(8, 4), seed=1)
+        return [rng.standard_normal(3), rng.standard_normal((3, 2)),
+                rng.standard_normal(1), *model.parameters()]
+
+    def test_flat_equals_per_array(self):
+        rng = np.random.default_rng(17)
+        params = self.mixed_params(rng)
+        assert len(params) == 3 + 39
+        ref = [p.copy() for p in params]
+        opt = Adam(params, lr=1e-2)
+        ref_opt = AdamPerArray(ref, lr=1e-2)
+        for t in range(100):
+            if t % 4 == 3:
+                grads = [np.zeros_like(p) for p in params]
+            else:
+                grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3)
+                         for p in params]
+            opt.step(params, grads)
+            ref_opt.step(ref, grads)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p, r)
+
+    def test_state_roundtrip_resumes_bitwise(self):
+        rng = np.random.default_rng(18)
+        params = self.mixed_params(rng)
+        grads = [[rng.standard_normal(p.shape) for p in params] for _ in range(20)]
+        straight = [p.copy() for p in params]
+        opt = Adam(straight, lr=1e-2)
+        for g in grads:
+            opt.step(straight, g)
+
+        resumed = [p.copy() for p in params]
+        first = Adam(resumed, lr=1e-2)
+        for g in grads[:8]:
+            first.step(resumed, g)
+        state = first.state_dict()
+        saved = [p.copy() for p in resumed]
+        first.step(resumed, grads[8])  # moves the live buffers, not the snapshot
+        second = Adam(saved, lr=1e-2)
+        second.load_state_dict(state)
+        for g in grads[8:]:
+            second.step(saved, g)
+        for p, r in zip(saved, straight):
+            assert np.array_equal(p, r)
+
+    def test_shape_mismatch_raises(self):
+        params = [np.zeros(3), np.zeros((2, 2))]
+        opt = Adam(params)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            opt.step(params, [np.zeros(3), np.zeros(4)])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            opt.step([np.zeros(3), np.zeros(4)], [np.zeros(3), np.zeros(4)])
+        with pytest.raises(ValueError, match="does not match"):
+            opt.step(params[:1], [np.zeros(3)])
+        assert opt.t == 0
+        np.testing.assert_array_equal(params[1], 0.0)
+        with pytest.raises(ValueError, match="do not match"):
+            opt.load_state_dict({"t": 1, "m": np.zeros(3), "v": np.zeros(3)})
+
+
+class TestAgainstReference:
+    """The library's sigmoid and MLP passes equal the per-slice forms in
+    ``oracles``, bit for bit."""
+
+    def test_sigmoid_equals_masked(self):
+        tiny = np.finfo(np.float64).tiny
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+                          tiny, -tiny, tiny / 2**20, -tiny / 2**20, 5e-324, -5e-324,
+                          36.7, -36.7, 709.8, -709.8, np.nan])
+        rng = np.random.default_rng(19)
+        for x in (edges, rng.uniform(-800, 800, 20_000),
+                  rng.standard_normal((300, 7)) * 30.0, np.array(-2.5)):
+            assert np.array_equal(sigmoid(x), sigmoid_masked(x), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "dims, heads, rows",
+        [
+            ((4, 7, 5), (("identity", 2), ("softplus", 2), ("identity", 1)), 6),
+            ((4, 7, 5), (("identity", 3),), 6),
+            ((4, 7, 5), (("softplus", 3),), 6),
+            ((4, 7, 5), (("identity", 2), ("softplus", 2)), 1),
+            ((4,), (("identity", 2), ("softplus", 2)), 6),
+            ((4,), (("identity", 3),), 1),
+        ],
+        ids=["mixed", "identity", "softplus", "one-row", "no-hidden", "no-hidden-one-row"],
+    )
+    def test_passes_equal_reference(self, dims, heads, rows):
+        out_dim = sum(w for _, w in heads)
+        net = Mlp([*dims, out_dim], heads=heads, seed=23)
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((rows, dims[0])) * 3.0
+        Y, cache = net.forward(X)
+        Y_ref, cache_ref = mlp_forward(net, X)
+        assert np.array_equal(Y, Y_ref)
+        for a, b in zip(cache[0], cache_ref[0]):
+            assert np.array_equal(a, b)
+        d_out = rng.standard_normal(Y.shape)
+        d_before = d_out.copy()
+        grads, dX = net.backward(cache, d_out)
+        grads_ref, dX_ref = mlp_backward(net, cache_ref, d_out)
+        assert len(grads) == len(grads_ref)
+        for g, r in zip(grads, grads_ref):
+            assert np.array_equal(g, r)
+        assert np.array_equal(dX, dX_ref)
+        # the caller's gradient array is left as it was
+        assert np.array_equal(d_out, d_before)
 
 
 def test_checkpoint_roundtrip():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from imvc import model as M
+from imvc import trainer
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic, normalize
 from imvc.model import VAR_MIN, DmgmmModel, encode_all, load_model
 from imvc.trainer import TrainConfig, fit, init_prior, kmeans_pp, pretrain
+from oracles import AdamPerArray
 
 
 def masked_synthetic(seed=0, n=80, rate=0.3, probs=(0.5, 0.3, 0.1)):
@@ -224,3 +227,47 @@ class TestFit:
         from imvc.metrics import accuracy
 
         assert accuracy(res.assignments, ds.labels) > 0.6
+
+
+class TestFlatAdamBitIdentity:
+    """``fit`` with the flat-buffer Adam equals ``fit`` with the per-array
+    reference optimiser, bit for bit, through pretraining and training."""
+
+    @staticmethod
+    def check_equal(monkeypatch, ds, config, before_fit=lambda: None):
+        before_fit()
+        flat = fit(ds, config)
+        with monkeypatch.context() as mp:
+            mp.setattr(trainer, "Adam", AdamPerArray)
+            before_fit()
+            ref = fit(ds, config)
+        assert np.array_equal(flat.gamma, ref.gamma)
+        assert flat.history == ref.history
+        assert flat.pretrain_losses == ref.pretrain_losses
+
+    def test_full_batch(self, monkeypatch):
+        self.check_equal(monkeypatch, masked_synthetic(7), quick_config(seed=11))
+
+    def test_minibatch(self, monkeypatch):
+        ds = masked_synthetic(17, n=200)
+        self.check_equal(monkeypatch, ds, quick_config(seed=12, batch_size=16,
+                                                       train_epochs=3))
+
+    def test_lr_halving_retry(self, monkeypatch):
+        # 5 batches per epoch; the second step of the second epoch fails
+        # once, so the epoch restarts from the snapshot (load_params +
+        # load_state_dict) at half the learning rate
+        real = M.loss_and_grads
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 7:
+                raise M.NonFiniteLossError("reconstruction", float("nan"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(M, "loss_and_grads", flaky)
+        self.check_equal(monkeypatch, masked_synthetic(18),
+                         quick_config(seed=13, batch_size=16, train_epochs=3),
+                         before_fit=calls.clear)
+        assert len(calls) == 3 * 5 + 2
