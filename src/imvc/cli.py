@@ -16,10 +16,11 @@ import csv
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -320,6 +321,32 @@ def _write_sweep(out, cfg, rows):
     return aggregates
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _sweep_pool(workers):
+    """A pool of fresh (spawned) worker processes with BLAS at one thread.
+
+    numpy reads the thread-count variables once, when it is imported, so
+    they are set in this process's environment for as long as the pool may
+    start workers (it starts them on demand) and restored afterwards.
+    """
+    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for k, value in saved.items():
+            if value is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = value
+
+
 def cmd_sweep(cfg):
     sw = cfg["sweep"]
     rates = _floats(sw["rates"])
@@ -372,7 +399,7 @@ def cmd_sweep(cfg):
     # every finished cell is persisted at once, in job order, so an
     # interrupted sweep resumes from the last finished cell
     parallel = workers > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    with _sweep_pool(workers) if parallel else nullcontext() as pool:
         for row in (pool.map if parallel else map)(_sweep_cell, jobs):
             rows.append(row)
             _write_sweep(out, cfg, rows)

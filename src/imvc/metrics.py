@@ -1,16 +1,15 @@
 """Clustering metrics and the raw-space neighbor-mean imputer.
 
-accuracy() solves the optimal label matching with the Hungarian algorithm
-on the contingency table (rectangular tables are fine: unmatched predicted
-clusters simply score zero). nmi() normalizes mutual information by the
-arithmetic mean of the two entropies. ari() is computed in exact integer
-arithmetic with a single final division.
+accuracy() solves the optimal label matching with an exact integer
+Hungarian method on the contingency table (rectangular tables are fine:
+unmatched predicted clusters simply score zero). nmi() normalizes mutual
+information by the arithmetic mean of the two entropies. ari() is computed
+in exact integer arithmetic with a single final division.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import MultiViewDataset
 from .model import QUERY_BLOCK
@@ -37,11 +36,60 @@ def contingency(pred, truth):
     return C
 
 
+def _max_matching(C):
+    """Largest sum of C[i, j] over one-to-one matchings of rows to columns.
+
+    The shortest-augmenting-path Hungarian method (Kuhn 1955, in its
+    O(n^3) form) minimises max(C) - C on the table zero-padded to square,
+    with int64 potentials, so every step is exact. Only the optimal value
+    is returned: it is unique even when the matching is not.
+    """
+    C = np.asarray(C, dtype=np.int64)
+    C = C[C.any(axis=1)][:, C.any(axis=0)]  # zero rows/columns add nothing
+    n = max(C.shape)
+    if n == 0:
+        return 0
+    gain = np.zeros((n, n), dtype=np.int64)
+    gain[: C.shape[0], : C.shape[1]] = C
+    cost = gain.max() - gain
+    # 1-based rows and columns; column 0 is the virtual start of each
+    # augmenting path, row_of[j] the row matched to column j (0 = none)
+    big = np.iinfo(np.int64).max
+    u = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(n + 1, dtype=np.int64)
+    row_of = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(n + 1, big, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            closer = ~used[1:] & (reduced < minv[1:])
+            minv[1:][closer] = reduced[closer]
+            way[1:][closer] = j0
+            slack = np.where(used[1:], big, minv[1:])
+            j0 = int(slack.argmin()) + 1
+            delta = slack[j0 - 1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            if row_of[j0] == 0:
+                break
+        while j0:  # flip the path back to its start
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return int(gain[row_of[1:] - 1, np.arange(n)].sum())
+
+
 def accuracy(pred, truth):
     """Clustering accuracy under the best one-to-one label matching."""
     C = contingency(pred, truth)
-    rows, cols = linear_sum_assignment(-C)
-    return float(C[rows, cols].sum()) / int(C.sum())
+    return float(_max_matching(C)) / int(C.sum())
 
 
 def nmi(pred, truth):

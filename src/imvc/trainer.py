@@ -369,13 +369,19 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
             else:
                 order = rng_shuffle.permutation(n)
                 batches = [order[s : s + batch] for s in range(0, n, batch)]
-            terms = None
+            # the epoch's terms are the batch terms weighted by |b| / n; one
+            # full batch has weight 1.0, so its terms are logged unchanged
+            logged = None
             for idx in batches:
                 eps = rng_noise.standard_normal((idx.size, config.d_z))
                 terms, grads = M.loss_and_grads(
                     model, dataset, idx, eps, alpha=config.alpha, imputations=imput
                 )
                 opt.step(params, grads)
+                weighted = {k: idx.size / n * x for k, x in terms.as_dict().items()}
+                logged = weighted if logged is None else {
+                    k: logged[k] + x for k, x in weighted.items()
+                }
         except M.NonFiniteLossError as err:
             if retries >= 3:
                 raise TrainingDiverged(epoch, err.term) from err
@@ -397,7 +403,7 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
             M.save_model(
                 model, os.path.join(checkpoint_dir, f"checkpoint_{epoch + 1}.json")
             )
-        entry = {"epoch": epoch, **terms.as_dict()}
+        entry = {"epoch": epoch, **logged}
         # the last epoch is evaluated once, below, with the final assignments
         if (dataset.labels is not None and epoch % config.log_every == 0
                 and epoch < config.train_epochs - 1):

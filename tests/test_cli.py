@@ -11,6 +11,8 @@ import imvc.cli
 from imvc.cli import config_hash, main, read_config
 from imvc.svg import grouped_bar_chart, line_chart
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -187,6 +189,40 @@ class TestSweep:
         body = lambda t: [l for l in t.splitlines() if not l.startswith("# config=")]
         assert body(after) == body(before)
 
+    @pytest.mark.slow
+    def test_fresh_parallel_sweep_equals_serial(self, tmp_path, monkeypatch):
+        # spawned workers with BLAS pinned to one thread compute every cell
+        # as the serial loop does
+        monkeypatch.chdir(ROOT)
+        body = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert main([
+                "sweep", "--config", "data/toy/toy.ini", "--out-dir", str(out),
+                "--set", "train.pretrain_epochs=10", "--set", "train.epochs=4",
+                "--set", "sweep.ratios=0, 0.5", "--set", "sweep.runs=2",
+                "--set", f"sweep.workers={workers}",
+            ]) == 0
+            body[workers] = [l for l in (out / "sweep.csv").read_text().splitlines()
+                             if not l.startswith("# config=")]
+        assert body[2] == body[1]
+        assert len([l for l in body[1] if l.startswith("run,")]) == 4
+
+    def test_pool_workers_pin_blas_and_restore_env(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        names = imvc.cli.BLAS_THREAD_VARS
+        with imvc.cli._sweep_pool(2) as pool:
+            seen = list(pool.map(os.getenv, names))
+            # a forked worker would inherit the numpy that this process loaded
+            fresh = pool.submit(eval, "'numpy' not in __import__('sys').modules")
+            assert fresh.result()
+        assert seen == ["1"] * len(names)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert "MKL_NUM_THREADS" not in os.environ
+
     def test_interrupted_sweep_keeps_finished_cells(self, workspace, tmp_path,
                                                     monkeypatch):
         root, cfg = workspace
@@ -331,6 +367,17 @@ class TestExitCodes:
         assert proc.returncode == 0
         for name in ("score", "fit", "sweep", "plugin", "gen-data", "gen-mask"):
             assert name in proc.stdout
+
+
+def test_import_loads_no_scipy(src_env):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, imvc, imvc.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=src_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSvgHelpers:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from imvc.data import MultiViewDataset
-from imvc.metrics import accuracy, ari, nmi, plugin_impute
+from imvc.metrics import _max_matching, accuracy, ari, nmi, plugin_impute
 from imvc.model import QUERY_BLOCK
 from imvc.scoring import InfoTable, info_scores, select_positions
 
@@ -65,6 +65,30 @@ class TestAccuracy:
             pred = rng.integers(0, K, size=n)
             truth = rng.integers(0, K, size=n)
             assert accuracy(pred, truth) == accuracy_bruteforce(pred, truth)
+
+    def test_matches_scipy_assignment_oracle(self):
+        # beyond brute-force reach: up to 12 x 12 tables, rectangular, with
+        # ties (few distinct counts), all-zero rows and columns, 1 x n, n x 1
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(36)
+        shapes = [(1, c) for c in range(1, 13)] + [(r, 1) for r in range(1, 13)]
+        shapes += [tuple(rng.integers(1, 13, size=2)) for _ in range(3000)]
+        for r, c in shapes:
+            C = rng.integers(0, rng.choice([2, 3, 10, 1000]), size=(r, c))
+            if rng.random() < 0.3:
+                C[rng.random(r) < 0.3] = 0
+            if rng.random() < 0.3:
+                C[:, rng.random(c) < 0.3] = 0
+            rows, cols = linear_sum_assignment(C, maximize=True)
+            best = int(C[rows, cols].sum())
+            assert _max_matching(C) == best
+            if C.sum() == 0:
+                continue
+            p, t = np.nonzero(C)
+            pred, truth = np.repeat(p, C[p, t]), np.repeat(t, C[p, t])
+            perm = rng.permutation(pred.size)
+            assert accuracy(pred[perm], truth[perm]) == best / C.sum()
 
     def test_rectangular_contingency(self):
         # fewer predicted clusters than true clusters

@@ -271,3 +271,46 @@ class TestFlatAdamBitIdentity:
                          quick_config(seed=13, batch_size=16, train_epochs=3),
                          before_fit=calls.clear)
         assert len(calls) == 3 * 5 + 2
+
+
+class TestEpochHistory:
+    """Each epoch logs the size-weighted mean of its batches' loss terms."""
+
+    @staticmethod
+    def recorded_fit(monkeypatch, ds, config):
+        real = M.loss_and_grads
+        batches = []
+
+        def recording(model, dataset, batch_idx, *args, **kwargs):
+            terms, grads = real(model, dataset, batch_idx, *args, **kwargs)
+            batches.append((len(batch_idx), terms.as_dict()))
+            return terms, grads
+
+        with monkeypatch.context() as mp:
+            mp.setattr(M, "loss_and_grads", recording)
+            res = fit(ds, config)
+        return res, batches
+
+    def test_minibatch_logs_weighted_mean(self, monkeypatch):
+        ds = masked_synthetic(17, n=200)
+        config = quick_config(seed=12, batch_size=16, train_epochs=3)
+        res, batches = self.recorded_fit(monkeypatch, ds, config)
+        per_epoch = -(-ds.n_samples // 16)
+        assert len(batches) == config.train_epochs * per_epoch
+        assert [b for b, _ in batches[:per_epoch]] == [16] * 12 + [8]
+        for epoch, entry in enumerate(res.history):
+            chunk = batches[epoch * per_epoch:(epoch + 1) * per_epoch]
+            for key in ("recon", "kl_gauss", "kl_cat", "coherence", "total"):
+                want = sum(size / ds.n_samples * terms[key] for size, terms in chunk)
+                assert entry[key] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert entry["total"] != chunk[-1][1]["total"]  # not the last batch's
+        # logging does not touch training
+        assert np.array_equal(res.gamma, fit(ds, config).gamma)
+
+    def test_full_batch_logs_its_terms_unchanged(self, monkeypatch):
+        ds = masked_synthetic(7)
+        res, batches = self.recorded_fit(monkeypatch, ds, quick_config(seed=11))
+        assert len(batches) == len(res.history)
+        for entry, (size, terms) in zip(res.history, batches):
+            assert size == ds.n_samples
+            assert {k: entry[k] for k in terms} == terms
