@@ -495,7 +495,7 @@ def cmd_plugin(cfg):
 # ---------------------------------------------------------------- data gen
 
 
-def cmd_gen_data(cfg, args):
+def cmd_gen_data(args):
     ds = make_synthetic(
         n_samples=args.samples,
         n_clusters=args.clusters,
@@ -510,7 +510,7 @@ def cmd_gen_data(cfg, args):
     return 0
 
 
-def cmd_gen_mask(cfg, args):
+def cmd_gen_mask(args):
     spec = MissingSpec(
         per_view_missing_prob=np.array(_floats(args.probs)),
         target_rate=args.rate,
@@ -594,11 +594,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in ("gen-data", "gen-mask"):
-            cfg = {s: dict(v) for s, v in DEFAULTS.items()}
-            if args.command == "gen-data":
-                return cmd_gen_data(cfg, args)
-            return cmd_gen_mask(cfg, args)
+        if args.command == "gen-data":
+            return cmd_gen_data(args)
+        if args.command == "gen-mask":
+            return cmd_gen_mask(args)
         cfg = read_config(args.config, args.set)
         _apply_flags(cfg, args)
         handler = {

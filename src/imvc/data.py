@@ -83,10 +83,6 @@ class MultiViewDataset:
         """Indices of samples observed in view v."""
         return np.where(self.mask[:, v] == 1)[0]
 
-    def observed_views(self, i):
-        """Indices of views observed for sample i."""
-        return np.where(self.mask[i] == 1)[0]
-
     def missing_positions(self):
         """(i, v) pairs with mask 0, in row-major order."""
         ii, vv = np.where(self.mask == 0)
@@ -283,12 +279,12 @@ def save_csv(path, X, fmt):
         np.savetxt(fh, X, delimiter=",", fmt=fmt)
 
 
-def save_dataset(dataset, out_dir, prefix="view"):
+def save_dataset(dataset, out_dir):
     """Write one CSV per view plus labels/mask CSVs; returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for v, X in enumerate(dataset.views):
-        p = os.path.join(out_dir, f"{prefix}{v}.csv")
+        p = os.path.join(out_dir, f"view{v}.csv")
         save_csv(p, X, "%.10g")
         paths[f"view{v}"] = p
     mp = os.path.join(out_dir, "mask.csv")

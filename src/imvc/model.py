@@ -174,11 +174,15 @@ class DmgmmModel:
             p[...] = s
 
     @property
+    def pi(self):
+        """Mixture weights softmax(pi_logits)."""
+        e = np.exp(self.pi_logits - self.pi_logits.max())
+        return e / e.sum()
+
+    @property
     def prior(self):
-        logits = self.pi_logits - self.pi_logits.max()
-        e = np.exp(logits)
         return MixturePrior(
-            pi=e / e.sum(),
+            pi=self.pi,
             mu=self.prior_mu.copy(),
             var=softplus(self.prior_rho) + VAR_MIN,
         )
@@ -433,7 +437,17 @@ class LossTerms:
 
 def _check_finite(name, value):
     if not np.all(np.isfinite(value)):
-        raise NonFiniteLossError(name, float(np.asarray(value).ravel()[0]))
+        flat = np.asarray(value).ravel()
+        raise NonFiniteLossError(name, float(flat[~np.isfinite(flat)][0]))
+
+
+def check_trainable(model):
+    """Raise NonFiniteLossError when a parameter is not finite or a prior
+    weight has underflowed to 0 (the loss takes its log)."""
+    for p in model.parameters():
+        _check_finite("parameters", p)
+    with np.errstate(divide="ignore"):
+        _check_finite("log_pi", np.log(model.pi))
 
 
 def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):

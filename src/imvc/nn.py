@@ -23,6 +23,11 @@ SIGMA_MIN = 1e-4
 
 HEAD_KINDS = ("identity", "softplus")
 
+# Adam's moment decay rates and the guard added to its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def softplus(x):
     # max(x,0) + log1p(exp(-|x|)) never overflows
@@ -61,12 +66,12 @@ class Mlp:
         if sum(w for _, w in self.heads) != self.layer_dims[-1]:
             raise ValueError("head widths must sum to the output dimension")
 
-        self._head_slices = []
+        self._softplus_slices = []
         start = 0
         for kind, width in self.heads:
-            self._head_slices.append((kind, slice(start, start + width)))
+            if kind == "softplus":
+                self._softplus_slices.append(slice(start, start + width))
             start += width
-        self._softplus_slices = [sl for kind, sl in self._head_slices if kind == "softplus"]
 
         rng = np.random.default_rng(seed)
         self.weights = []
@@ -90,10 +95,6 @@ class Mlp:
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
         return out
-
-    def head_slices(self):
-        """(kind, slice) pairs over the output columns."""
-        return list(self._head_slices)
 
     def forward(self, X):
         """Returns (Y, cache). Rows of X are samples."""
@@ -171,11 +172,8 @@ class Adam:
     array by array.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._shapes = [p.shape for p in params]
         self.m = np.zeros(sum(p.size for p in params))
@@ -195,15 +193,15 @@ class Adam:
             if p.shape != shape or g.shape != shape:
                 raise ValueError("gradient shape mismatch")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         g = np.concatenate([g.ravel() for g in grads], out=self._grad)
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        np.divide(self.lr * (m / b1t), np.sqrt(v / b2t) + self.eps, out=self._upd)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        np.divide(self.lr * (m / b1t), np.sqrt(v / b2t) + ADAM_EPS, out=self._upd)
         for p, upd in zip(params, self._upd_views):
             p -= upd
 

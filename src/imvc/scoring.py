@@ -107,12 +107,12 @@ def _inv_sqrt_psd(S):
     return (Q / np.sqrt(w)) @ Q.T
 
 
-def first_canonical_correlation(X, Y, ridge=CCA_RIDGE):
+def first_canonical_correlation(X, Y):
     """Top canonical correlation between row-aligned matrices X and Y.
 
-    Mean-centers, whitens both covariances (with a ridge for rank safety)
-    and returns the largest singular value of the whitened cross-
-    covariance, clamped to [0, 1].
+    Mean-centers, whitens both covariances (with a ridge of ``CCA_RIDGE``
+    for rank safety) and returns the largest singular value of the
+    whitened cross-covariance, clamped to [0, 1].
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -121,22 +121,22 @@ def first_canonical_correlation(X, Y, ridge=CCA_RIDGE):
     n = X.shape[0]
     Xc = X - X.mean(axis=0)
     Yc = Y - Y.mean(axis=0)
-    Sxx = Xc.T @ Xc / (n - 1) + ridge * np.eye(X.shape[1])
-    Syy = Yc.T @ Yc / (n - 1) + ridge * np.eye(Y.shape[1])
+    Sxx = Xc.T @ Xc / (n - 1) + CCA_RIDGE * np.eye(X.shape[1])
+    Syy = Yc.T @ Yc / (n - 1) + CCA_RIDGE * np.eye(Y.shape[1])
     Sxy = Xc.T @ Yc / (n - 1)
     T = _inv_sqrt_psd(Sxx) @ Sxy @ _inv_sqrt_psd(Syy)
     sigma = np.linalg.svd(T, compute_uv=False)[0]
     return float(min(max(sigma, 0.0), 1.0))
 
 
-def view_correlation(latents, dataset, ridge=CCA_RIDGE, floor=CORR_FLOOR):
+def view_correlation(latents, dataset):
     """V x V matrix of first canonical correlations between latent codes.
 
     latents[v] is an (N, d_z) matrix whose rows are meaningful only where
     view v is observed; each pair is estimated on co-observed samples.
-    Pairs with fewer than d_z + 2 co-observed samples fall back to the
-    floor (a canonical correlation is meaningless there). Symmetric, unit
-    diagonal, off-diagonal clamped to [floor, 1].
+    Pairs with fewer than d_z + 2 co-observed samples fall back to
+    ``CORR_FLOOR`` (a canonical correlation is meaningless there).
+    Symmetric, unit diagonal, off-diagonal clamped to [CORR_FLOOR, 1].
     """
     V = dataset.n_views
     for v in range(V):
@@ -148,25 +148,21 @@ def view_correlation(latents, dataset, ridge=CCA_RIDGE, floor=CORR_FLOOR):
         for v in range(u + 1, V):
             both = np.where((dataset.mask[:, u] == 1) & (dataset.mask[:, v] == 1))[0]
             if both.size < d_z + 2:
-                c = floor
+                c = CORR_FLOOR
             else:
-                c = first_canonical_correlation(
-                    latents[u][both], latents[v][both], ridge=ridge
-                )
-                c = min(max(c, floor), 1.0)
+                c = first_canonical_correlation(latents[u][both], latents[v][both])
+                c = min(max(c, CORR_FLOOR), 1.0)
             corr[u, v] = corr[v, u] = c
     return corr
 
 
-def info_scores(dataset, latents=None, corr=None, sims=None):
-    """Score every missing position; returns an InfoTable with nothing
-    selected yet.
+def info_scores(dataset, corr):
+    """Score every missing position under the V x V view correlations
+    ``corr``; returns an InfoTable with nothing selected yet.
 
-    Pass a correlation matrix, or latents from which it is estimated. The
-    similarities are streamed by query block from ``view_distances`` and
-    each view's ``max_view_distance``, so no N x N array is built; ``sims``
-    may instead give one dense (N, N) similarity matrix per view. Empty
-    support sets score 0.
+    The similarities are streamed by query block from ``view_distances``
+    and each view's ``max_view_distance``, so no N x N array is built.
+    Empty support sets score 0.
 
     Each target view v is scored over blocks of the samples missing it,
     against every sample observing it; a block holds at most
@@ -178,26 +174,12 @@ def info_scores(dataset, latents=None, corr=None, sims=None):
     mask = dataset.mask
     V = dataset.n_views
     n = dataset.n_samples
-    if corr is None:
-        if latents is None:
-            raise ValueError("need either latents or a correlation matrix")
-        corr = view_correlation(latents, dataset)
-
     corr = np.asarray(corr, dtype=np.float64)
     if corr.shape != (V, V):
         raise ValueError(f"correlation matrix must be {V} x {V}, got shape {corr.shape}")
     if not np.array_equal(np.diag(corr), np.ones(V)):
         raise ValueError("correlation matrix must have a unit diagonal")
-    if sims is None:
-        d_max = [max_view_distance(dataset, u) for u in range(V)]
-    else:
-        if len(sims) != V:
-            raise ValueError(f"need one similarity matrix per view ({V}), got {len(sims)}")
-        for u, s in enumerate(sims):
-            if np.shape(s) != (n, n):
-                raise ValueError(f"similarity matrix of view {u} must be {n} x {n}, "
-                                 f"got shape {np.shape(s)}")
-        flat_sims = [np.ravel(np.asarray(s, dtype=np.float64)) for s in sims]
+    d_max = [max_view_distance(dataset, u) for u in range(V)]
 
     positions = np.asarray(dataset.missing_positions(), dtype=np.int64).reshape(-1, 2)
     scores = np.zeros(len(positions))
@@ -218,26 +200,14 @@ def info_scores(dataset, latents=None, corr=None, sims=None):
             qb = queries[lo:lo + step]
             shared = maskb[qb][:, :, None] & observes  # [:, v] is False
             member = shared.any(axis=1)
-            if sims is None:
-                # (1 - d / d_max)^2 corr[u, v] on the pairs observing u,
-                # 0 in every other cell
-                cross = np.zeros(shared.shape)
-                for u, b in enumerate(observers):
-                    a = np.flatnonzero(maskb[qb, u])  # empty for u = v
-                    d = view_distances(dataset, u, qb[a], donors[b])
-                    sim = np.ones_like(d) if d_max[u] == 0.0 else (1.0 - d / d_max[u]) ** 2
-                    cross[:, u][np.ix_(a, b)] = sim * corr[u, v]
-            else:
-                cells = qb[:, None] * n + donors  # flat (query, donor) indices
-                cross = np.empty(shared.shape)
-                for u in range(V):
-                    np.take(flat_sims[u], cells, out=cross[:, u])
-                    cross[:, u] *= corr[u, v]
-                cross *= shared
-            # non-members are not part of the sum: zero them rather than
-            # multiply, so that a NaN similarity there stays out
-            rows, cols = np.nonzero(~member)
-            cross[rows, :, cols] = 0.0
+            # (1 - d / d_max)^2 corr[u, v] on the pairs observing u, 0 in
+            # every other cell, so a non-member's terms are all 0
+            cross = np.zeros(shared.shape)
+            for u, b in enumerate(observers):
+                a = np.flatnonzero(maskb[qb, u])  # empty for u = v
+                d = view_distances(dataset, u, qb[a], donors[b])
+                sim = np.ones_like(d) if d_max[u] == 0.0 else (1.0 - d / d_max[u]) ** 2
+                cross[:, u][np.ix_(a, b)] = sim * corr[u, v]
             num = _fsum_rows(cross.transpose(0, 2, 1))
             den = _fsum_rows((corr[:, v, None] * shared).transpose(0, 2, 1))
             # intra term: corr-weighted mean, corr[v,v] = 1

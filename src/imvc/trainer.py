@@ -20,6 +20,12 @@ from . import scoring
 from .metrics import accuracy, ari, nmi
 from .nn import Adam, sigmoid
 
+# encoder scale head after calibration, as a fraction of the unit latent std
+ENC_SIGMA_FRAC = 0.5
+# k-means++ restarts, and Lloyd iterations per restart
+KMEANS_RESTARTS = 10
+KMEANS_ITERS = 100
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch, term):
@@ -56,14 +62,16 @@ class TrainConfig:
             raise ValueError("log_every must be at least 1")
         if not 0.0 <= self.selection_ratio <= 1.0:
             raise ValueError("selection ratio must lie in [0, 1]")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        # written so that NaN fails each comparison
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
         if self.n_neighbors < 1:
             raise ValueError("need at least one neighbor")
         if self.d_z < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("d_z and every hidden width must be at least 1")
-        if not (self.pretrain_lr > 0 and self.train_lr > 0):
-            raise ValueError("learning rates must be positive")
+        for name, lr in (("pretrain_lr", self.pretrain_lr), ("train_lr", self.train_lr)):
+            if not 0 < lr < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {lr}")
 
 
 @dataclass
@@ -137,7 +145,7 @@ def pretrain(model, dataset, config):
     return latents, losses
 
 
-def calibrate_heads(model, dataset, latents, enc_sigma_frac=0.5):
+def calibrate_heads(model, dataset, latents):
     """Standardize the latent spaces and rescale the untrained scale heads
     after pretraining.
 
@@ -153,7 +161,7 @@ def calibrate_heads(model, dataset, latents, enc_sigma_frac=0.5):
         zero mean and unit per-dimension variance, with the inverse affine
         map absorbed exactly into the decoder's first layer (the composed
         function is unchanged);
-      * sets the encoder scale head to enc_sigma_frac (per-dimension std
+      * sets the encoder scale head to ENC_SIGMA_FRAC (per-dimension std
         is now 1);
       * sets the decoder scale head to the per-dimension reconstruction
         residual std.
@@ -184,10 +192,10 @@ def calibrate_heads(model, dataset, latents, enc_sigma_frac=0.5):
             resid = X - out[:, : X.shape[1]]
             res_scale = np.maximum(resid.std(axis=0), 1e-3)
             dec.biases[-1][X.shape[1]:] = M._inv_softplus(res_scale)
-        enc.biases[-1][d:] = M._inv_softplus(np.full(d, enc_sigma_frac))
+        enc.biases[-1][d:] = M._inv_softplus(np.full(d, ENC_SIGMA_FRAC))
 
 
-def _kmeans_once(X, K, rng, n_iter=100):
+def _kmeans_once(X, K, rng):
     n = X.shape[0]
     centers = np.empty((K, X.shape[1]))
     centers[0] = X[rng.integers(n)]
@@ -201,7 +209,7 @@ def _kmeans_once(X, K, rng, n_iter=100):
         d2 = np.minimum(d2, ((X - centers[kk]) ** 2).sum(axis=1))
 
     assign = None
-    for _ in range(n_iter):
+    for _ in range(KMEANS_ITERS):
         dist = ((X[:, None, :] - centers[None]) ** 2).sum(axis=-1)
         new_assign = dist.argmin(axis=1)
         # repair empty clusters by stealing the farthest point
@@ -224,13 +232,13 @@ def _kmeans_once(X, K, rng, n_iter=100):
     return centers, assign, float(dist.sum())
 
 
-def kmeans_pp(X, K, seed, restarts=10):
-    """k-means++ with Lloyd refinement; best of several restarts."""
+def kmeans_pp(X, K, seed):
+    """k-means++ with Lloyd refinement; best of ``KMEANS_RESTARTS`` restarts."""
     if K > X.shape[0]:
         raise ValueError(f"cannot place {K} clusters on {X.shape[0]} points")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers, assign, inertia = _kmeans_once(X, K, rng)
         if best is None or inertia < best[2]:
             best = (centers, assign, inertia)
@@ -301,9 +309,9 @@ def _imputed_experts(dataset, table, posts, k):
     return M.impute_all(dataset, table, posts, k=k)
 
 
-def _deterministic_assignments(model, dataset, table, k):
-    """Cluster assignments from the noise-free fused posterior mean."""
-    posts = M.encode_all(model, dataset)
+def _deterministic_assignments(model, dataset, table, k, posts):
+    """Cluster assignments from the noise-free fused posterior mean, given
+    the model's per-view posteriors ``posts``."""
     agg = M.aggregate_observed(posts, dataset.mask, _imputed_experts(dataset, table, posts, k))
     gamma = M.responsibilities(model.prior, agg.mu)
     return gamma.argmax(axis=1), gamma
@@ -360,9 +368,9 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
     snapshot = (model.copy_params(), opt.state_dict())
     retries = 0
     epoch = 0
+    # posts holds the posteriors of the current parameters throughout
     while epoch < config.train_epochs:
         try:
-            posts = M.encode_all(model, dataset)
             imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
             if batch == n:
                 batches = [np.arange(n)]
@@ -382,6 +390,9 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
                 logged = weighted if logged is None else {
                     k: logged[k] + x for k, x in weighted.items()
                 }
+            # a state that the next epoch or the logged eval cannot use (a
+            # non-finite parameter, a prior weight of 0) must not be snapshotted
+            M.check_trainable(model)
         except M.NonFiniteLossError as err:
             if retries >= 3:
                 raise TrainingDiverged(epoch, err.term) from err
@@ -392,6 +403,7 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
             continue
 
         snapshot = (model.copy_params(), opt.state_dict())
+        posts = M.encode_all(model, dataset)
         if (
             checkpoint_dir is not None
             and config.checkpoint_every > 0
@@ -407,12 +419,14 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
         # the last epoch is evaluated once, below, with the final assignments
         if (dataset.labels is not None and epoch % config.log_every == 0
                 and epoch < config.train_epochs - 1):
-            assign, _ = _deterministic_assignments(model, dataset, table, config.n_neighbors)
+            assign, _ = _deterministic_assignments(model, dataset, table,
+                                                   config.n_neighbors, posts)
             entry.update(label_metrics(assign, dataset.labels))
         history.append(entry)
         epoch += 1
 
-    assignments, gamma = _deterministic_assignments(model, dataset, table, config.n_neighbors)
+    assignments, gamma = _deterministic_assignments(model, dataset, table,
+                                                    config.n_neighbors, posts)
     if dataset.labels is not None:
         history[-1].update(label_metrics(assignments, dataset.labels))
     return FitResult(

@@ -17,7 +17,8 @@ that ``scoring.info_scores`` streams by query blocks.
 ``AdamPerArray``, ``sigmoid_masked``, ``mlp_forward`` and
 ``mlp_backward`` are the optimiser step, the sigmoid and the MLP passes of
 ``imvc.nn`` written array by array, with boolean masks and one head slice
-at a time.
+(``head_slices``) at a time. ``observed_views`` lists one sample's
+observed views.
 """
 
 import math
@@ -32,6 +33,11 @@ from imvc.scoring import InfoTable, view_distances
 
 def _row(post, i):
     return GaussianPosterior(post.mu[i], post.var[i])
+
+
+def observed_views(dataset, i):
+    """Indices of views observed for sample i."""
+    return np.where(dataset.mask[i] == 1)[0]
 
 
 def impute_distribution(dataset, table, aggregated, view_posteriors, i, v, k=10):
@@ -102,7 +108,7 @@ def fuse_with_imputation(dataset, table, i, view_posteriors, k=10):
     """Fused posterior for sample i: its observed views, then the imputed
     experts of its selected missing views in ascending view order."""
     agg_all = aggregate_observed(view_posteriors, dataset.mask)
-    experts = [_row(view_posteriors[v], i) for v in dataset.observed_views(i)]
+    experts = [_row(view_posteriors[v], i) for v in observed_views(dataset, i)]
     if table is not None:
         for (j, v), selected in zip(table.positions.tolist(), table.selected):
             if selected and j == i:
@@ -263,6 +269,15 @@ def pairwise_similarity(dataset, u):
     return sim
 
 
+def head_slices(net):
+    """(kind, slice) pairs over the output columns of ``net``."""
+    out, start = [], 0
+    for kind, width in net.heads:
+        out.append((kind, slice(start, start + width)))
+        start += width
+    return out
+
+
 def sigmoid_masked(x):
     """Logistic function evaluated separately on each side of zero."""
     out = np.empty_like(x, dtype=np.float64)
@@ -279,7 +294,7 @@ def mlp_backward(net, cache, d_out):
     inputs, a_out = cache
     d_out = np.asarray(d_out, dtype=np.float64)
     da = np.empty_like(d_out)
-    for kind, sl in net.head_slices():
+    for kind, sl in head_slices(net):
         slope = np.ones_like(a_out[:, sl]) if kind == "identity" else sigmoid_masked(a_out[:, sl])
         da[:, sl] = d_out[:, sl] * slope
     grads = [None] * (2 * net.n_layers)
@@ -305,7 +320,7 @@ def mlp_forward(net, X):
         inputs.append(h)
     a_out = h @ net.weights[-1] + net.biases[-1]
     Y = np.empty_like(a_out)
-    for kind, sl in net.head_slices():
+    for kind, sl in head_slices(net):
         Y[:, sl] = a_out[:, sl] if kind == "identity" else softplus(a_out[:, sl]) + SIGMA_MIN
     return Y, (inputs, a_out)
 

@@ -23,10 +23,10 @@ from imvc.trainer import TrainConfig, fit, pretrain, calibrate_heads
 from imvc import model as M
 from imvc import scoring
 
-from oracles import pairwise_similarity, score_of
+from oracles import score_of
 from test_metrics import accuracy_bruteforce, ari_paircount
 from test_model import make_loss_instance, rel_err
-from test_scoring import info_scores_oracle, random_incomplete
+from test_scoring import dense_sims, info_scores_oracle, random_incomplete
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOY = os.path.join(ROOT, "data", "toy")
@@ -143,13 +143,12 @@ class TestCriterion3Oracles:
             n = int(rng.integers(8, 31))
             V = int(rng.integers(2, 5))
             ds = random_incomplete(7000 + case, n=n, V=V, dims=(3, 2, 4, 2))
-            sims = [pairwise_similarity(ds, u) for u in range(V)]
             corr = np.eye(V)
             for u in range(V):
                 for v in range(u + 1, V):
                     corr[u, v] = corr[v, u] = rng.uniform(0.05, 1.0)
-            table = info_scores(ds, corr=corr, sims=sims)
-            expected = info_scores_oracle(ds, sims, corr)
+            table = info_scores(ds, corr=corr)
+            expected = info_scores_oracle(ds, dense_sims(ds), corr)
             for (i, v), score in expected.items():
                 assert score_of(table, i, v) == score
                 checked += 1
@@ -250,10 +249,9 @@ class TestCriterion8SelectionAndDeterminism:
         rng = np.random.default_rng(88)
         for case in range(20):
             ds = random_incomplete(8800 + case, n=int(rng.integers(10, 30)))
-            sims = [pairwise_similarity(ds, u) for u in range(ds.n_views)]
             corr = np.eye(ds.n_views)
             corr[corr == 0] = 0.5
-            table = info_scores(ds, corr=corr, sims=sims)
+            table = info_scores(ds, corr=corr)
             prev = set()
             for rho in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
                 sel = select_positions(table, rho)

@@ -325,6 +325,9 @@ class TestExitCodes:
         ("fit", "train.latent_dim=0"),
         ("fit", "train.lr=-1"),
         ("fit", "train.hidden=0"),
+        ("fit", "train.alpha=nan"),
+        ("fit", "train.lr=inf"),
+        ("fit", "train.pretrain_lr=inf"),
         ("plugin", "plugin.neighbors=0"),
         ("plugin", "plugin.runs=0"),
         ("plugin", "plugin.ratio=1.5"),
@@ -342,6 +345,14 @@ class TestExitCodes:
         rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path),
                    "--set", setting])
         assert rc == 1
+
+    def test_diverging_fit_exits_2(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        with np.errstate(all="ignore"):
+            rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path),
+                       "--set", "train.lr=1e300"])
+        assert rc == 2
+        assert "TrainingDiverged" in capsys.readouterr().err
 
     def test_failed_gen_mask_keeps_previous_file(self, tmp_path, request, capsys):
         out = tmp_path / "mask.csv"

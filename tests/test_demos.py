@@ -1,4 +1,7 @@
-"""Smoke test: the quick narrative demos run to completion."""
+"""Smoke test: the quick narrative demos run to completion.
+
+Demo 05 is left out: it writes demos/ratio_sweep.svg into the checkout.
+"""
 
 import os
 import subprocess
@@ -11,7 +14,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_data_and_masks.py", "02_informativeness_scores.py", "03_fused_posteriors.py"],
+    ["01_data_and_masks.py", "02_informativeness_scores.py", "03_fused_posteriors.py",
+     "04_train_and_cluster.py", "06_plugin_imputer.py"],
 )
 def test_demo_runs(demo, src_env):
     proc = subprocess.run(

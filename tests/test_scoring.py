@@ -84,25 +84,20 @@ def random_corr(rng, V):
     return corr
 
 
-def assert_per_position_scores(ds, corr, sims):
-    """info_scores equals the per-position reference bit for bit (NaN
-    where the reference has NaN); returns the scores."""
+def dense_sims(ds):
+    """The dense oracle similarity matrix of every view."""
+    return [pairwise_similarity(ds, u) for u in range(ds.n_views)]
+
+
+def assert_per_position_scores(ds, corr):
+    """The streamed info_scores equals, bit for bit, the per-position
+    reference on the dense oracle similarities (NaN where the reference
+    has NaN); returns the scores."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        got = info_scores(ds, corr=corr, sims=sims)
-        want = info_scores_per_position(ds, corr, sims)
+        got = info_scores(ds, corr=corr)
+        want = info_scores_per_position(ds, corr, dense_sims(ds))
     assert np.array_equal(got.positions, want.positions)
     assert np.array_equal(got.scores, want.scores, equal_nan=True)
-    return got.scores
-
-
-def assert_streamed_equals_dense(ds, corr):
-    """The default (streamed) info_scores equals, bit for bit, the scores
-    from the dense oracle similarity matrices; returns the scores."""
-    sims = [pairwise_similarity(ds, u) for u in range(ds.n_views)]
-    got = info_scores(ds, corr=corr)
-    want = info_scores(ds, corr=corr, sims=sims)
-    assert np.array_equal(got.positions, want.positions)
-    assert np.array_equal(got.scores, want.scores)
     return got.scores
 
 
@@ -127,19 +122,17 @@ def traced_peak_bytes(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def unit_score(ds, i, v, sims=None):
-    """Info(i, v) with every similarity and correlation 1 unless given:
-    each support member then adds 1 (its intra term) plus 1 per view it
-    shares with sample i."""
-    n, V = ds.mask.shape
-    sims = sims if sims is not None else [np.ones((n, n)) for _ in range(V)]
-    return score_of(info_scores(ds, corr=np.ones((V, V)), sims=sims), i, v)
+def unit_score(ds, i, v):
+    """Info(i, v) with every correlation 1. When the observed points of
+    each view coincide, every similarity is 1 too: each support member then
+    adds 1 (its intra term) plus 1 per view it shares with sample i."""
+    V = ds.n_views
+    return score_of(info_scores(ds, corr=np.ones((V, V))), i, v)
 
 
 class TestSupportSet:
     def test_single_missing_cell_everyone_qualifies(self):
-        rng = np.random.default_rng(0)
-        views = [rng.normal(size=(6, 2)) for _ in range(2)]
+        views = [np.zeros((6, 2)) for _ in range(2)]
         mask = np.ones((6, 2), dtype=int)
         mask[2, 1] = 0
         ds = MultiViewDataset(views=views, mask=mask)
@@ -147,10 +140,11 @@ class TestSupportSet:
         assert unit_score(ds, 2, 1) == 5 * 2
 
     def test_member_must_observe_target_view(self):
-        mask = np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]])
-        views = [np.zeros((3, 1))] * 3
+        mask = np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 0]])
+        views = [np.zeros((4, 1))] * 3
         ds = MultiViewDataset(views=views, mask=mask)
         # sample 1 misses view 1 -> excluded even though it overlaps with 0;
+        # sample 3 observes view 1 but shares nothing with 0 -> excluded;
         # sample 2 alone shares views 0 and 2
         assert unit_score(ds, 0, 1) == 1 + 2
 
@@ -162,17 +156,19 @@ class TestSupportSet:
         assert unit_score(ds, 0, 1) == 1 + 1  # sample 2 only
 
     def test_valid_mask_semantics(self):
-        mask = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-        views = [np.zeros((3, 1))] * 3
+        # samples 3 and 4 miss view 2, so they are no members; they only
+        # set d_max of views 0 and 1
+        mask = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 1, 0]])
+        nan = np.nan  # unobserved cells, which must never be read
+        views = [np.array([[0.0], [1.0], [nan], [2.0], [nan]]),
+                 np.array([[0.0], [nan], [1.0], [nan], [4.0]]),
+                 np.zeros((5, 1))]
         ds = MultiViewDataset(views=views, mask=mask)
-        # target (0, 2); members need view 2 and overlap with {0, 1}: 1 and 2
-        sims = [np.zeros((3, 3)) for _ in range(3)]
-        sims[0][0, 1] = 0.1  # member 1 shares view 0: counts
-        sims[1][0, 1] = 0.2  # member 1 misses view 1: must not count
-        sims[0][0, 2] = 0.4  # member 2 misses view 0: must not count
-        sims[1][0, 2] = 0.8  # member 2 shares view 1: counts
-        # each counted similarity enters as intra term and as cross term
-        assert unit_score(ds, 0, 2, sims) == pytest.approx(2 * 0.1 + 2 * 0.8)
+        # target (0, 2); members need view 2 and overlap with {0, 1}: 1 and 2.
+        # Member 1 shares view 0 only: sim (1 - 1/2)^2 = 0.25.
+        # Member 2 shares view 1 only: sim (1 - 1/4)^2 = 0.5625.
+        # Each counted similarity enters as intra term and as cross term.
+        assert unit_score(ds, 0, 2) == 2 * 0.25 + 2 * 0.5625
 
 
 class TestPairwiseSimilarity:
@@ -330,6 +326,13 @@ class TestCca:
 
 
 class TestMissingViewSimilarity:
+    # sample 1 lies 1 from sample 0 in views 0 and 1, and sample 2 lies
+    # d_max from it (2 and 4): sample 1's similarities to sample 0 are
+    # (1 - 1/2)^2 and (1 - 1/4)^2, sample 2's are 0
+    VIEWS = [np.array([[0.0], [1.0], [2.0]]), np.array([[0.0], [1.0], [4.0]]),
+             np.zeros((3, 1))]
+    SIM01 = (0.25, 0.5625)
+
     def corr(self):
         c = np.eye(3)
         c[0, 1] = c[1, 0] = 0.9
@@ -337,78 +340,71 @@ class TestMissingViewSimilarity:
         c[1, 2] = c[2, 1] = 0.6
         return c
 
-    def sims(self, val01=0.2, val02=0.6):
-        s = [np.zeros((3, 3)) for _ in range(3)]
-        s[0][0, 1] = s[0][1, 0] = val01
-        s[1][0, 1] = s[1][1, 0] = val02
-        return s
-
-    def intra_term(self, ds, sims, corr):
+    def intra_term(self, mask, corr):
         """Member 1's intra term in Info(0, 2): the score less member 1's
         cross-view terms (member 2 has zero similarities)."""
+        ds = MultiViewDataset(views=self.VIEWS, mask=mask)
         shared = np.where(ds.mask[0] & ds.mask[1])[0]
-        cross = sum(sims[u][0, 1] * corr[u, 2] for u in shared)
-        return score_of(info_scores(ds, corr=corr, sims=sims), 0, 2) - cross
+        cross = sum(self.SIM01[u] * corr[u, 2] for u in shared)
+        return score_of(info_scores(ds, corr=corr), 0, 2) - cross
 
     def test_single_shared_view(self):
         mask = np.array([[1, 0, 0], [1, 1, 1], [1, 1, 1]])
-        ds = MultiViewDataset(views=[np.zeros((3, 1))] * 3, mask=mask)
-        out = self.intra_term(ds, self.sims(), self.corr())
-        assert out == pytest.approx(0.2)  # weights normalize away
+        out = self.intra_term(mask, self.corr())
+        assert out == pytest.approx(0.25)  # weights normalize away
 
     def test_equal_corr_unweighted_mean(self):
         mask = np.array([[1, 1, 0], [1, 1, 1], [1, 1, 1]])
-        ds = MultiViewDataset(views=[np.zeros((3, 1))] * 3, mask=mask)
         corr = np.eye(3)
         corr[0, 2] = corr[2, 0] = 0.5
         corr[1, 2] = corr[2, 1] = 0.5
-        out = self.intra_term(ds, self.sims(0.2, 0.6), corr)
-        assert out == pytest.approx(0.4)
+        out = self.intra_term(mask, corr)
+        assert out == pytest.approx((0.25 + 0.5625) / 2)
 
     def test_weighted_average(self):
         mask = np.array([[1, 1, 0], [1, 1, 1], [1, 1, 1]])
-        ds = MultiViewDataset(views=[np.zeros((3, 1))] * 3, mask=mask)
         corr = np.eye(3)
         corr[0, 2] = corr[2, 0] = 0.9
         corr[1, 2] = corr[2, 1] = 0.3
-        out = self.intra_term(ds, self.sims(0.2, 0.6), corr)
-        assert out == pytest.approx((0.2 * 0.9 + 0.6 * 0.3) / 1.2)  # = 0.3
+        out = self.intra_term(mask, corr)
+        assert out == pytest.approx((0.25 * 0.9 + 0.5625 * 0.3) / 1.2)  # = 0.328125
 
 
 class TestInfoScores:
     def test_empty_support_scores_zero(self):
-        # sample 0 observes only view 0; the only view-1 observer shares nothing
-        mask = np.array([[1, 0], [0, 1], [1, 0]])
-        views = [np.zeros((3, 1)), np.zeros((3, 1))]
-        ds = MultiViewDataset(views=views, mask=mask)
+        # sample 0 observes only view 0; the view-1 observers share nothing
+        mask = np.array([[1, 0], [0, 1], [0, 1], [1, 0]])
         rng = np.random.default_rng(0)
-        sims = [np.abs(rng.normal(size=(3, 3))) for _ in range(2)]
-        table = info_scores(ds, corr=np.eye(2), sims=sims)
+        views = [rng.normal(size=(4, 1)), rng.normal(size=(4, 1))]
+        ds = MultiViewDataset(views=views, mask=mask)
+        table = info_scores(ds, corr=np.eye(2))
         assert score_of(table, 0, 1) == 0.0
 
     def test_two_sample_hand_trace(self):
         # one support sample, one shared view u != v:
-        # intra = (s*c)/c = s, cross = s*c  ->  total s(1+c)
-        mask = np.array([[1, 0], [1, 1]])
-        views = [np.array([[0.0], [1.0]]), np.array([[0.0], [0.0]])]
+        # intra = (s*c)/c = s, cross = s*c  ->  total s(1+c).
+        # Sample 1 lies 1 from sample 0 in view 0, sample 2 (no member: it
+        # misses view 1) sets d_max = 2, so s = (1 - 1/2)^2; sample 3 (no
+        # member: it shares nothing) is view 1's second observer.
+        mask = np.array([[1, 0], [1, 1], [1, 0], [0, 1]])
+        views = [np.array([[0.0], [1.0], [2.0], [np.nan]]),
+                 np.array([[np.nan], [0.0], [np.nan], [0.0]])]
         ds = MultiViewDataset(views=views, mask=mask)
         s, c = 0.25, 0.7
-        sims = [np.zeros((2, 2)), np.zeros((2, 2))]
-        sims[0][0, 1] = sims[0][1, 0] = s
         corr = np.array([[1.0, c], [c, 1.0]])
-        table = info_scores(ds, corr=corr, sims=sims)
+        table = info_scores(ds, corr=corr)
         assert score_of(table, 0, 1) == pytest.approx(s * (1 + c))
 
     def test_upper_bound_all_ones(self):
-        # sims -> 1 and corr -> 1 gives m * V per position
+        # sims -> 1 (all points coincide) and corr -> 1 gives m * V per
+        # position
         n, V = 8, 3
         mask = np.ones((n, V), dtype=int)
         mask[0, 1] = 0
         views = [np.tile([[1.0]], (n, 1)) for _ in range(V)]
         ds = MultiViewDataset(views=views, mask=mask)
-        sims = [np.ones((n, n)) for _ in range(V)]
-        table = info_scores(ds, corr=np.ones((V, V)), sims=sims)
-        assert score_of(table, 0, 1) == pytest.approx((n - 1) * V)
+        table = info_scores(ds, corr=np.ones((V, V)))
+        assert score_of(table, 0, 1) == (n - 1) * V
 
     def test_matches_triple_loop_oracle_exactly(self):
         for seed in range(50):
@@ -418,14 +414,13 @@ class TestInfoScores:
                 V=int(np.random.default_rng(seed + 1).integers(2, 5)),
                 dims=(3, 2, 4, 2),
             )
-            sims = [pairwise_similarity(ds, u) for u in range(ds.n_views)]
             rng = np.random.default_rng(seed + 2)
             corr = np.eye(ds.n_views)
             for u in range(ds.n_views):
                 for v in range(u + 1, ds.n_views):
                     corr[u, v] = corr[v, u] = rng.uniform(0.05, 1.0)
-            table = info_scores(ds, corr=corr, sims=sims)
-            expected = info_scores_oracle(ds, sims, corr)
+            table = info_scores(ds, corr=corr)
+            expected = info_scores_oracle(ds, dense_sims(ds), corr)
             for (i, v), score in expected.items():
                 assert score_of(table, i, v) == score, (seed, i, v)
 
@@ -436,8 +431,7 @@ class TestInfoScores:
             V = 2 + seed % 3
             ds = random_incomplete(300 + seed, n=int(rng.integers(8, 41)), V=V,
                                    dims=(3, 2, 4, 2))
-            sims = [pairwise_similarity(ds, u) for u in range(V)]
-            assert_per_position_scores(ds, random_corr(rng, V), sims)
+            assert_per_position_scores(ds, random_corr(rng, V))
 
         # a view with QUERY_BLOCK + 1 querying samples
         n = QUERY_BLOCK + 1 + 12
@@ -445,8 +439,7 @@ class TestInfoScores:
         mask[:QUERY_BLOCK + 1, 1] = 0
         mask[rng.random(n) < 0.3, 2] = 0
         ds = MultiViewDataset([rng.normal(size=(n, 2)) for _ in range(3)], mask)
-        sims = [pairwise_similarity(ds, u) for u in range(3)]
-        scores = assert_per_position_scores(ds, random_corr(rng, 3), sims)
+        scores = assert_per_position_scores(ds, random_corr(rng, 3))
         assert np.all(scores > 0)
 
         # 200 querying samples over several capped blocks of 1000 donors
@@ -457,66 +450,32 @@ class TestInfoScores:
         mask[:200, 0] = 1
         ds = MultiViewDataset([rng.normal(size=(n, 2)) for _ in range(4)], mask)
         assert QUERY_BLOCK * n // (4 * 1000) < 200
-        sims = [pairwise_similarity(ds, u) for u in range(4)]
-        assert_per_position_scores(ds, random_corr(rng, 4), sims)
+        assert_per_position_scores(ds, random_corr(rng, 4))
 
         # blocks down to a single querying sample
         ds = random_incomplete(77, n=40, V=3)
-        sims = [pairwise_similarity(ds, u) for u in range(3)]
         corr = random_corr(rng, 3)
         for block in (1, 2, 5):
             monkeypatch.setattr(scoring, "QUERY_BLOCK", block)
-            assert_per_position_scores(ds, corr, sims)
+            assert_per_position_scores(ds, corr)
         monkeypatch.undo()
 
         # the observers of view 1 see nothing else: no support for view 1
         mask = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 0], [1, 0, 1]])
         ds = MultiViewDataset([rng.normal(size=(6, 2)) for _ in range(3)], mask)
-        sims = [pairwise_similarity(ds, u) for u in range(3)]
-        scores = assert_per_position_scores(ds, random_corr(rng, 3), sims)
+        scores = assert_per_position_scores(ds, random_corr(rng, 3))
         view = np.array(ds.missing_positions())[:, 1]
         assert np.all(scores[view == 1] == 0.0) and np.any(scores > 0)
 
-        # similarities that are NaN outside the observed pairs: the terms
-        # multiply the missing view's NaN similarity by 0, so supported
-        # positions score NaN
-        ds = random_incomplete(91, n=30, V=3)
-        maskb = ds.mask.astype(bool)
-        corr = random_corr(rng, 3)
-        sims = [pairwise_similarity(ds, u) for u in range(3)]
-        nan_sims = [np.where(np.outer(maskb[:, u], maskb[:, u]), s, np.nan)
-                    for u, s in enumerate(sims)]
-        assert np.isnan(assert_per_position_scores(ds, corr, nan_sims)).any()
-        # NaN only between samples that share no view: those pairs are
-        # outside every support set, so no score may turn NaN
-        apart = ~(maskb.astype(int) @ maskb.T.astype(int)).astype(bool)
-        assert apart.any()
-        apart_sims = [np.where(apart, np.nan, s) for s in sims]
-        scores = assert_per_position_scores(ds, corr, apart_sims)
-        assert np.array_equal(scores, info_scores(ds, corr=corr, sims=sims).scores)
-
         # a zero correlation makes every denominator zero: 0/0 is NaN
         ds = random_incomplete(12, n=20, V=2)
-        sims = [pairwise_similarity(ds, u) for u in range(2)]
-        scores = assert_per_position_scores(ds, np.eye(2), sims)
+        scores = assert_per_position_scores(ds, np.eye(2))
         assert np.isnan(scores).all()
 
-    def test_streamed_equal_to_dense(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        # random instances, V = 2-4
-        for seed in range(30):
-            V = 2 + seed % 3
-            ds = random_incomplete(600 + seed, n=int(rng.integers(8, 41)), V=V,
-                                   dims=(3, 2, 4, 2))
-            assert_streamed_equals_dense(ds, random_corr(rng, V))
-
-        # blocks down to a single querying sample
-        ds = random_incomplete(78, n=40, V=3)
-        corr = random_corr(rng, 3)
-        for block in (1, 2, 5):
-            monkeypatch.setattr(scoring, "QUERY_BLOCK", block)
-            assert_streamed_equals_dense(ds, corr)
-        monkeypatch.undo()
+    def test_streamed_equal_to_dense(self):
+        # the streamed similarities at the edges of the dense oracle's
+        # (1 - d / d_max)^2
+        corr = random_corr(np.random.default_rng(8), 3)
 
         # the observed points of view 1 all coincide: d_max = 0, so every
         # similarity in that view is 1
@@ -525,7 +484,7 @@ class TestInfoScores:
         views[1] = np.tile(views[1][:1], (30, 1))
         ds = MultiViewDataset(views, ds.mask)
         assert max_view_distance(ds, 1) == 0.0
-        assert np.all(assert_streamed_equals_dense(ds, corr) > 0)
+        assert np.all(assert_per_position_scores(ds, corr) > 0)
 
         # a view with exactly two observers
         mask = ds.mask.copy()
@@ -534,7 +493,7 @@ class TestInfoScores:
         mask[mask.sum(axis=1) == 0, 0] = 1
         ds = MultiViewDataset(random_incomplete(80, n=30, V=3).views, mask)
         assert ds.observed(2).size == 2
-        assert np.any(assert_streamed_equals_dense(ds, corr) > 0)
+        assert np.any(assert_per_position_scores(ds, corr) > 0)
 
     def test_memory_stays_below_quadratic(self):
         # dense N x N similarity matrices peaked at about 294 MB
@@ -543,41 +502,28 @@ class TestInfoScores:
 
     def test_corr_must_be_v_by_v(self):
         ds = random_incomplete(3, V=3)
-        sims = [pairwise_similarity(ds, u) for u in range(3)]
         wide = np.hstack([np.eye(3), np.full((3, 1), 0.5)])  # unit diagonal
         with pytest.raises(ValueError, match="correlation matrix must be 3 x 3"):
-            info_scores(ds, corr=wide, sims=sims)
+            info_scores(ds, corr=wide)
         with pytest.raises(ValueError, match="correlation matrix must be 3 x 3"):
-            info_scores(ds, corr=np.eye(2), sims=sims)
-
-    def test_one_similarity_matrix_per_view(self):
-        ds = random_incomplete(3, V=3)
-        sims = [pairwise_similarity(ds, u) for u in range(3)]
-        with pytest.raises(ValueError, match="one similarity matrix per view"):
-            info_scores(ds, corr=np.eye(3), sims=sims[:2])
-
-    def test_similarity_matrices_must_be_n_by_n(self):
-        ds = random_incomplete(3, n=20, V=3)
-        sims = [pairwise_similarity(ds, u) for u in range(3)]
-        sims[1] = np.zeros((21, 21))
-        with pytest.raises(ValueError, match="similarity matrix of view 1 must be 20 x 20"):
-            info_scores(ds, corr=np.eye(3), sims=sims)
+            info_scores(ds, corr=np.eye(2))
 
     def test_monotone_in_support(self):
-        # adding a support sample never decreases the score
-        mask = np.array([[1, 0], [1, 1], [1, 1]])
-        views = [np.array([[0.0], [0.5], [2.0]]), np.zeros((3, 1))]
+        # adding a support sample never decreases the score. In view 0,
+        # samples 1 and 2 both lie 1 from sample 0 and d_max = 2 apart, so
+        # each adds (1 - 1/2)^2 (1 + c) = 0.375 to Info(0, 1)
+        mask = np.array([[1, 0], [1, 1], [1, 1], [0, 1]])
+        views = [np.array([[1.0], [0.0], [2.0], [np.nan]]), np.zeros((4, 1))]
         ds_big = MultiViewDataset(views=views, mask=mask)
-        sims_big = [pairwise_similarity(ds_big, u) for u in range(2)]
         corr = np.array([[1.0, 0.5], [0.5, 1.0]])
-        # hold sims/corr fixed; drop sample 2 from the support by hiding
-        # its target view
+        # hold view 0 and corr fixed; drop sample 2 from the support by
+        # hiding its target view (sample 3 keeps view 1 two observers)
         mask_small = mask.copy()
         mask_small[2, 1] = 0
         ds_small = MultiViewDataset(views=views, mask=mask_small)
-        small = info_scores(ds_small, corr=corr, sims=sims_big)
-        big = info_scores(ds_big, corr=corr, sims=sims_big)
-        assert score_of(big, 0, 1) >= score_of(small, 0, 1)
+        small = score_of(info_scores(ds_small, corr=corr), 0, 1)
+        big = score_of(info_scores(ds_big, corr=corr), 0, 1)
+        assert small == 0.375 and big == 0.75
 
 
 def same_float(a, b):

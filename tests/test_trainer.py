@@ -38,12 +38,15 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "bad", [dict(log_every=0), dict(batch_size=-1), dict(checkpoint_every=-1),
                 dict(d_z=0), dict(train_lr=0.0), dict(pretrain_lr=-1e-3),
-                dict(hidden=(16, 0))],
+                dict(hidden=(16, 0)), dict(alpha=np.nan), dict(alpha=np.inf),
+                dict(train_lr=np.inf), dict(pretrain_lr=np.inf), dict(train_lr=np.nan)],
         ids=["log_every", "batch_size", "checkpoint_every", "d_z", "train_lr",
-             "pretrain_lr", "hidden"],
+             "pretrain_lr", "hidden", "alpha_nan", "alpha_inf", "train_lr_inf",
+             "pretrain_lr_inf", "train_lr_nan"],
     )
     def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError):
+        # the message names the field
+        with pytest.raises(ValueError, match=next(iter(bad))):
             quick_config(**bad)
 
 
@@ -271,6 +274,52 @@ class TestFlatAdamBitIdentity:
                          quick_config(seed=13, batch_size=16, train_epochs=3),
                          before_fit=calls.clear)
         assert len(calls) == 3 * 5 + 2
+
+
+def nan_weight(model):
+    model.encoders[0].weights[0][0, 0] = np.nan
+
+
+def spread_pi_logits(model):
+    model.pi_logits[0] += 1e4  # the other prior weights underflow to 0
+
+
+class TestDivergence:
+    """A training step that leaves an unusable state is undone and retried
+    at half the learning rate; the fourth failure ends the fit."""
+
+    @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+    @pytest.mark.parametrize("poison", [nan_weight, spread_pi_logits])
+    def test_diverging_step_retried_then_raises(self, monkeypatch, labelled, poison):
+        real_build, real_step = trainer.build_pretrained, trainer.Adam.step
+        trained = []  # the model, once pretraining is over
+        starts = []  # (lr, every parameter finite) at each training step
+
+        def build_pretrained(*args, **kwargs):
+            out = real_build(*args, **kwargs)
+            trained.append(out[0])
+            return out
+
+        def step(self, params, grads):
+            if trained:
+                starts.append((self.lr, all(np.isfinite(p).all() for p in params)))
+            real_step(self, params, grads)
+            if trained:
+                poison(trained[0])
+
+        monkeypatch.setattr(trainer, "build_pretrained", build_pretrained)
+        monkeypatch.setattr(trainer.Adam, "step", step)
+        ds = masked_synthetic(19)
+        if not labelled:
+            ds = MultiViewDataset(views=ds.views, mask=ds.mask, K=3)
+        config = quick_config(seed=14)
+        with pytest.raises(trainer.TrainingDiverged) as info:
+            fit(ds, config)
+        assert info.value.epoch == 0
+        assert not np.isfinite(info.value.__cause__.value)  # the offending value
+        # three retries, each from the finite snapshot at half the lr
+        lr = config.train_lr
+        assert starts == [(lr, True), (lr / 2, True), (lr / 4, True), (lr / 8, True)]
 
 
 class TestEpochHistory:
