@@ -6,9 +6,15 @@ positions; a moderate ratio sits in between. Three seeds and short
 training keep this demo quick; the acceptance suite runs the full
 ten-seed protocol, and `imvc sweep --config data/toy/toy.ini` writes the
 CSV + SVG version.
+
+Usage: python demos/05_selection_ratio_sweep.py [OUT_SVG]
+The chart goes to OUT_SVG, by default ratio_sweep.svg in the system's
+temporary directory.
 """
 
 import os
+import sys
+import tempfile
 
 import numpy as np
 
@@ -40,7 +46,8 @@ for rho in ratios:
     medians.append(float(np.median(accs)))
     print(f"{rho:5.2f}  {medians[-1]:10.3f}  {np.round(accs, 3)}")
 
-out = os.path.join(os.path.dirname(__file__), "ratio_sweep.svg")
+out = sys.argv[1] if len(sys.argv) > 1 else os.path.join(tempfile.gettempdir(),
+                                                          "ratio_sweep.svg")
 with open(out, "w") as fh:
     fh.write(line_chart(ratios, {"median ACC": medians},
                         title="Accuracy vs selection ratio",

@@ -83,6 +83,12 @@ class MultiViewDataset:
         """Indices of samples observed in view v."""
         return np.where(self.mask[:, v] == 1)[0]
 
+    def check_views_observed(self):
+        """Raise ValueError naming the first view that no sample observes."""
+        empty = np.where(self.mask.sum(axis=0) == 0)[0]
+        if empty.size:
+            raise ValueError(f"view {empty[0]} has no observed samples")
+
     def missing_positions(self):
         """(i, v) pairs with mask 0, in row-major order."""
         ii, vv = np.where(self.mask == 0)
@@ -152,8 +158,10 @@ def normalize(dataset):
     Statistics come from observed rows only, so masked cells cannot leak
     into the scaling; masked rows are transformed with the same statistics
     (they stay finite but are never read by the model). Constant columns
-    map to 0. Idempotent.
+    map to 0. Idempotent. Raises ValueError when a view has no observed
+    row to take statistics from.
     """
+    dataset.check_views_observed()
     views = []
     for v, X in enumerate(dataset.views):
         obs = dataset.mask[:, v] == 1

@@ -660,7 +660,7 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
             d_var_v = d_var_v + ch_direct[v][1]
         d_sd_v = d_var_v * 2.0 * sd_v
         d_out = np.concatenate([d_m_v[rows], d_sd_v[rows]], axis=1)
-        gv, _ = model.encoders[v].backward(enc[v]["cache"], d_out)
+        gv, _ = model.encoders[v].backward(enc[v]["cache"], d_out, input_grad=False)
         enc_grads.append(gv)
 
     grads = []

@@ -9,7 +9,10 @@ of output heads applied to column slices of the final linear layer:
     softplus  -- softplus(a) + SIGMA_MIN, strictly positive (scale outputs)
 
 Forward passes cache what backward needs; backward returns gradients in
-the same flat order as ``Mlp.parameters()``. ``to_dict``/``from_dict``
+the same flat order as ``Mlp.parameters()``. Each pass is a trunk (the
+ReLU layers and the final linear map, ``trunk_forward``/``trunk_backward``)
+plus the heads (``apply_heads`` and its slope), so a caller that reads only
+identity-head columns can run the trunk alone. ``to_dict``/``from_dict``
 serialize a network for the model checkpoint of ``model.save_model``.
 """
 
@@ -96,8 +99,9 @@ class Mlp:
             out.extend([w, b])
         return out
 
-    def forward(self, X):
-        """Returns (Y, cache). Rows of X are samples."""
+    def trunk_forward(self, X):
+        """The layers without the heads: returns ``(a_out, inputs)``, the
+        final linear output and the input of every layer."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.layer_dims[0]:
             raise ValueError(
@@ -110,17 +114,44 @@ class Mlp:
             h += b
             np.maximum(h, 0.0, out=h)
             inputs.append(h)
-        a_out = h @ self.weights[-1] + self.biases[-1]
+        return h @ self.weights[-1] + self.biases[-1], inputs
+
+    def apply_heads(self, a_out):
+        """The head outputs of a final linear output, in a new array."""
         # identity heads pass the linear output through
         Y = a_out.copy()
         for sl in self._softplus_slices:
             Y[:, sl] = softplus(a_out[:, sl]) + SIGMA_MIN
-        return Y, (inputs, a_out)
+        return Y
 
-    def backward(self, cache, d_out):
+    def forward(self, X):
+        """Returns (Y, cache). Rows of X are samples."""
+        a_out, inputs = self.trunk_forward(X)
+        return self.apply_heads(a_out), (inputs, a_out)
+
+    def trunk_backward(self, inputs, da, input_grad=True):
+        """Backprop a gradient w.r.t. the final linear output of
+        ``trunk_forward``, whose layer inputs are ``inputs``; ``da`` is only
+        read.
+
+        Returns (grads, dX) where grads aligns with ``parameters()``; dX is
+        None when ``input_grad`` is false.
+        """
+        grads = [None] * (2 * self.n_layers)
+        for l in range(self.n_layers - 1, -1, -1):
+            h_in = inputs[l]
+            grads[2 * l] = h_in.T @ da
+            grads[2 * l + 1] = da.sum(axis=0)
+            if l > 0:
+                da = da @ self.weights[l].T
+                # ReLU mask: inputs[l] holds the post-activation of layer l-1
+                np.multiply(da, h_in > 0, out=da)
+        return grads, (da @ self.weights[0].T if input_grad else None)
+
+    def backward(self, cache, d_out, input_grad=True):
         """Backprop a gradient w.r.t. the head outputs.
 
-        Returns (grads, dX) where grads aligns with ``parameters()``.
+        Returns (grads, dX) as ``trunk_backward`` does.
         """
         inputs, a_out = cache
         d_out = np.asarray(d_out, dtype=np.float64)
@@ -131,18 +162,7 @@ class Mlp:
         da = d_out.copy(order="K")
         for sl in self._softplus_slices:
             da[:, sl] *= sigmoid(a_out[:, sl])
-
-        grads = [None] * (2 * self.n_layers)
-        for l in range(self.n_layers - 1, -1, -1):
-            h_in = inputs[l]
-            grads[2 * l] = h_in.T @ da
-            grads[2 * l + 1] = da.sum(axis=0)
-            if l > 0:
-                da = da @ self.weights[l].T
-                # ReLU mask: inputs[l] holds the post-activation of layer l-1
-                np.multiply(da, h_in > 0, out=da)
-        dX = da @ self.weights[0].T
-        return grads, dX
+        return self.trunk_backward(inputs, da, input_grad)
 
     def to_dict(self):
         return {

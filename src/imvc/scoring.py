@@ -138,10 +138,8 @@ def view_correlation(latents, dataset):
     ``CORR_FLOOR`` (a canonical correlation is meaningless there).
     Symmetric, unit diagonal, off-diagonal clamped to [CORR_FLOOR, 1].
     """
+    dataset.check_views_observed()
     V = dataset.n_views
-    for v in range(V):
-        if dataset.observed(v).size == 0:
-            raise ValueError(f"view {v} has no observed samples")
     d_z = latents[0].shape[1]
     corr = np.eye(V)
     for u in range(V):

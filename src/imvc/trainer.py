@@ -91,8 +91,16 @@ def pretrain(model, dataset, config):
     Trains sum_v mean_i ||x_i^v - g^v(mu_i^v)||^2 over observed rows with
     Adam; the latent is the deterministic encoder mean (no sampling, no
     variance head involvement). H[v] rows are valid only where view v is
-    observed.
+    observed. Raises ValueError when a view has no observed sample.
+
+    The loss reads only identity-head columns (encoder means, Gaussian
+    decoder means, Bernoulli logits), so each epoch runs the networks'
+    trunk passes alone and forms no encoder input gradient. The GEMMs keep
+    their full width, zero scale-head columns included, so every result
+    equals that of the full ``Mlp.forward``/``Mlp.backward`` passes bit for
+    bit.
     """
+    dataset.check_views_observed()
     params = []
     for net in model.encoders + model.decoders:
         params.extend(net.parameters())
@@ -106,25 +114,25 @@ def pretrain(model, dataset, config):
         enc_grads, dec_grads = [], []
         for v in range(model.n_views):
             X = obs_X[v]
-            out_e, cache_e = model.encoders[v].forward(X)
-            mu = out_e[:, :d]
-            out_d, cache_d = model.decoders[v].forward(mu)
+            enc, dec = model.encoders[v], model.decoders[v]
+            a_e, in_e = enc.trunk_forward(X)
+            a_d, in_d = dec.trunk_forward(a_e[:, :d])
             if model.likelihoods[v] == "gaussian":
-                recon = out_d[:, : X.shape[1]]
+                recon = a_d[:, : X.shape[1]]
             else:
-                recon = sigmoid(out_d)
+                recon = sigmoid(a_d)
             err = recon - X
             total += float((err * err).sum(axis=1).mean())
             d_recon = 2.0 * err / X.shape[0]
             if model.likelihoods[v] == "gaussian":
-                d_out_d = np.zeros_like(out_d)
-                d_out_d[:, : X.shape[1]] = d_recon
+                d_a_d = np.zeros_like(a_d)
+                d_a_d[:, : X.shape[1]] = d_recon
             else:
-                d_out_d = d_recon * recon * (1.0 - recon)
-            gd, d_mu = model.decoders[v].backward(cache_d, d_out_d)
-            d_out_e = np.zeros_like(out_e)
-            d_out_e[:, :d] = d_mu
-            ge, _ = model.encoders[v].backward(cache_e, d_out_e)
+                d_a_d = d_recon * recon * (1.0 - recon)
+            gd, d_mu = dec.trunk_backward(in_d, d_a_d)
+            d_a_e = np.zeros_like(a_e)
+            d_a_e[:, :d] = d_mu
+            ge, _ = enc.trunk_backward(in_e, d_a_e, input_grad=False)
             enc_grads.append(ge)
             dec_grads.append(gd)
         if not np.isfinite(total):
@@ -286,6 +294,7 @@ def build_pretrained(dataset, config, K):
     returns (model, latents, pretrain losses). Scoring stays with the
     caller, so a fit without the informativeness gate never scores.
     """
+    dataset.check_views_observed()
     likelihoods = config.likelihoods or ["gaussian"] * dataset.n_views
     for v, lk in enumerate(likelihoods):
         if lk == "bernoulli":

@@ -18,7 +18,10 @@ that ``scoring.info_scores`` streams by query blocks.
 ``mlp_backward`` are the optimiser step, the sigmoid and the MLP passes of
 ``imvc.nn`` written array by array, with boolean masks and one head slice
 (``head_slices``) at a time. ``observed_views`` lists one sample's
-observed views.
+observed views. ``pretrain_reference`` is ``trainer.pretrain`` run through
+the full ``Mlp.forward``/``Mlp.backward`` passes: both heads evaluated,
+the scale heads' zero gradients scaled by their slope, and an input
+gradient formed for every network.
 """
 
 import math
@@ -26,8 +29,9 @@ import math
 import numpy as np
 
 from imvc.data import MultiViewDataset
-from imvc.model import GaussianPosterior, aggregate_observed, fuse, w2_distance
-from imvc.nn import SIGMA_MIN, softplus
+from imvc.model import (GaussianPosterior, NonFiniteLossError, aggregate_observed,
+                        encode_view, fuse, w2_distance)
+from imvc.nn import SIGMA_MIN, Adam, sigmoid, softplus
 from imvc.scoring import InfoTable, view_distances
 
 
@@ -363,3 +367,57 @@ class AdamPerArray:
         self.t = state["t"]
         self.m = [a.copy() for a in state["m"]]
         self.v = [a.copy() for a in state["v"]]
+
+
+def pretrain_reference(model, dataset, config):
+    """``trainer.pretrain`` through the full MLP passes; returns
+    (latents, losses) and trains ``model`` in place."""
+    params = []
+    for net in model.encoders + model.decoders:
+        params.extend(net.parameters())
+    opt = Adam(params, lr=config.pretrain_lr)
+    d = model.d_z
+    losses = []
+    obs_rows = [dataset.observed(v) for v in range(model.n_views)]
+    obs_X = [dataset.views[v][rows] for v, rows in enumerate(obs_rows)]
+    for _ in range(config.pretrain_epochs):
+        total = 0.0
+        enc_grads, dec_grads = [], []
+        for v in range(model.n_views):
+            X = obs_X[v]
+            out_e, cache_e = model.encoders[v].forward(X)
+            mu = out_e[:, :d]
+            out_d, cache_d = model.decoders[v].forward(mu)
+            if model.likelihoods[v] == "gaussian":
+                recon = out_d[:, : X.shape[1]]
+            else:
+                recon = sigmoid(out_d)
+            err = recon - X
+            total += float((err * err).sum(axis=1).mean())
+            d_recon = 2.0 * err / X.shape[0]
+            if model.likelihoods[v] == "gaussian":
+                d_out_d = np.zeros_like(out_d)
+                d_out_d[:, : X.shape[1]] = d_recon
+            else:
+                d_out_d = d_recon * recon * (1.0 - recon)
+            gd, d_mu = model.decoders[v].backward(cache_d, d_out_d)
+            d_out_e = np.zeros_like(out_e)
+            d_out_e[:, :d] = d_mu
+            ge, _ = model.encoders[v].backward(cache_e, d_out_e)
+            enc_grads.append(ge)
+            dec_grads.append(gd)
+        if not np.isfinite(total):
+            raise NonFiniteLossError("pretrain_reconstruction", total)
+        grads = []
+        for g in enc_grads + dec_grads:
+            grads.extend(g)
+        opt.step(params, grads)
+        losses.append(total)
+
+    latents = []
+    for v in range(model.n_views):
+        H = np.zeros((dataset.n_samples, d))
+        if obs_rows[v].size:
+            H[obs_rows[v]] = encode_view(model, v, obs_X[v]).mu
+        latents.append(H)
+    return latents, losses

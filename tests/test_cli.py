@@ -346,6 +346,29 @@ class TestExitCodes:
                    "--set", setting])
         assert rc == 1
 
+    def test_unobserved_view_exits_1(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "d"
+        assert main(["gen-data", "--out-dir", str(data), "--samples", "60",
+                     "--clusters", "3", "--dims", "5,4,3", "--seed", "1"]) == 0
+        mask = np.ones((60, 3), dtype=np.int64)
+        mask[:, 2] = 0
+        np.savetxt(data / "mask.csv", mask, delimiter=",", fmt="%d")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[data]\n"
+            f"views = {data}/view0.csv, {data}/view1.csv, {data}/view2.csv\n"
+            f"mask = {data}/mask.csv\nlabels = {data}/labels.csv\n"
+        )
+
+        def no_training(*args, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(imvc.cli, "build_pretrained", no_training)
+        monkeypatch.setattr(imvc.cli, "fit", no_training)
+        rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "view 2 has no observed samples" in capsys.readouterr().err
+
     def test_diverging_fit_exits_2(self, workspace, tmp_path, capsys):
         root, cfg = workspace
         with np.errstate(all="ignore"):

@@ -1,6 +1,7 @@
-"""Smoke test: the quick narrative demos run to completion.
+"""Smoke test: the narrative demos run to completion.
 
-Demo 05 is left out: it writes demos/ratio_sweep.svg into the checkout.
+Demo 05 (15 fits) is marked slow and writes its chart into the test's
+temporary directory.
 """
 
 import os
@@ -23,3 +24,15 @@ def test_demo_runs(demo, src_env):
         capture_output=True, text=True, env=src_env, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.slow
+def test_ratio_sweep_demo_writes_chart(tmp_path, src_env):
+    out = tmp_path / "ratio_sweep.svg"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", "05_selection_ratio_sweep.py"),
+         str(out)],
+        capture_output=True, text=True, env=src_env, cwd=ROOT, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("<svg")

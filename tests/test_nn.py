@@ -333,6 +333,54 @@ class TestAgainstReference:
         assert np.array_equal(d_out, d_before)
 
 
+class TestTrunk:
+    """``forward``/``backward`` are the trunk passes plus the heads, bit for
+    bit."""
+
+    @pytest.mark.parametrize(
+        "dims, heads",
+        [((4, 7, 5), (("identity", 2), ("softplus", 2))),
+         ((4, 7, 5), (("identity", 3),)),
+         ((4,), (("identity", 2), ("softplus", 2)))],
+        ids=["mixed", "identity", "no-hidden"],
+    )
+    def test_forward_is_head_of_trunk(self, dims, heads):
+        net = Mlp([*dims, sum(w for _, w in heads)], heads=heads, seed=25)
+        X = np.random.default_rng(26).standard_normal((6, dims[0])) * 3.0
+        a_out, inputs = net.trunk_forward(X)
+        Y, (cache_inputs, cache_a) = net.forward(X)
+        assert np.array_equal(Y, net.apply_heads(a_out))
+        assert np.array_equal(cache_a, a_out)
+        for a, b in zip(cache_inputs, inputs):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dims", [(4, 7, 5), (4,)], ids=["hidden", "no-hidden"])
+    def test_trunk_backward_without_input_grad(self, dims):
+        heads = (("identity", 2), ("softplus", 2))
+        net = Mlp([*dims, 4], heads=heads, seed=27)
+        rng = np.random.default_rng(28)
+        X = rng.standard_normal((6, dims[0])) * 3.0
+        Y, cache = net.forward(X)
+        # a gradient on the identity head only: the softplus slope scales
+        # zeros, so the trunk sees the caller's array unchanged
+        d_out = np.zeros_like(Y)
+        d_out[:, :2] = rng.standard_normal((6, 2))
+        d_before = d_out.copy()
+        grads, dX = net.backward(cache, d_out)
+        trunk_grads, none = net.trunk_backward(cache[0], d_out, input_grad=False)
+        assert none is None
+        assert len(trunk_grads) == len(grads)
+        for g, t in zip(grads, trunk_grads):
+            assert np.array_equal(g, t)
+        assert np.array_equal(d_out, d_before)
+        _, trunk_dX = net.trunk_backward(cache[0], d_out)
+        assert np.array_equal(trunk_dX, dX)
+        grads_no_dx, none = net.backward(cache, d_out, input_grad=False)
+        assert none is None
+        for g, t in zip(grads, grads_no_dx):
+            assert np.array_equal(g, t)
+
+
 def test_checkpoint_roundtrip():
     # the per-network part of model.save_model / load_model
     net = Mlp([4, 6, 3], heads=(("identity", 1), ("softplus", 2)), seed=21)

@@ -6,7 +6,7 @@ from imvc import trainer
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic, normalize
 from imvc.model import VAR_MIN, DmgmmModel, encode_all, load_model
 from imvc.trainer import TrainConfig, fit, init_prior, kmeans_pp, pretrain
-from oracles import AdamPerArray
+from oracles import AdamPerArray, pretrain_reference
 
 
 def masked_synthetic(seed=0, n=80, rate=0.3, probs=(0.5, 0.3, 0.1)):
@@ -132,6 +132,60 @@ class TestPretrain:
         latents, losses = pretrain(model, ds, quick_config(pretrain_epochs=40))
         assert losses[-1] < losses[0]
         assert latents[0].shape == (40, 3)
+
+
+def unobserved_third_view(n=60):
+    """A labelled 3-view set whose view 2 no sample observes."""
+    ds = make_synthetic(n_samples=n, n_clusters=3, view_dims=(5, 4, 3), seed=3)
+    mask = np.ones((n, 3), dtype=np.int8)
+    mask[:, 2] = 0
+    return MultiViewDataset(views=ds.views, mask=mask, labels=ds.labels, K=3)
+
+
+class TestUnobservedView:
+    def no_training(self, *args, **kwargs):
+        raise AssertionError("training started")
+
+    def test_fit_rejects_before_training(self, monkeypatch):
+        monkeypatch.setattr(trainer, "Adam", self.no_training)
+        with pytest.raises(ValueError, match="^view 2 has no observed samples$"):
+            fit(unobserved_third_view(), quick_config())
+
+    def test_pretrain_rejects_before_training(self, monkeypatch):
+        ds = unobserved_third_view()
+        model = DmgmmModel.build(ds.dims, 3, d_z=4, hidden=(16, 8), seed=0)
+        monkeypatch.setattr(trainer, "Adam", self.no_training)
+        with pytest.raises(ValueError, match="^view 2 has no observed samples$"):
+            pretrain(model, ds, quick_config())
+
+    def test_normalize_rejects(self):
+        with pytest.raises(ValueError, match="^view 2 has no observed samples$"):
+            normalize(unobserved_third_view())
+
+
+class TestPretrainEqualsReference:
+    """``pretrain`` runs only the networks' trunks; its latents, losses and
+    every trained parameter equal the full-pass reference's bit for bit."""
+
+    @pytest.mark.parametrize(
+        "likelihoods, epochs",
+        [(["gaussian"] * 3, 25), (["gaussian", "bernoulli", "bernoulli"], 25),
+         (["gaussian"] * 3, 0)],
+        ids=["gaussian", "mixed-bernoulli", "zero-epochs"],
+    )
+    def test_bitwise_equal(self, likelihoods, epochs):
+        ds = masked_synthetic(8)
+        config = quick_config(pretrain_epochs=epochs)
+        models = [DmgmmModel.build(ds.dims, 3, d_z=4, hidden=(16, 8),
+                                   likelihoods=likelihoods, seed=4) for _ in range(2)]
+        latents, losses = pretrain(models[0], ds, config)
+        ref_latents, ref_losses = pretrain_reference(models[1], ds, config)
+        assert len(losses) == epochs
+        assert losses == ref_losses
+        for H, R in zip(latents, ref_latents):
+            assert np.array_equal(H, R)
+        for p, r in zip(models[0].parameters(), models[1].parameters()):
+            assert np.array_equal(p, r)
 
 
 class TestFit:
