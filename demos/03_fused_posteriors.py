@@ -23,7 +23,11 @@ from imvc import (
 # --- fusion: agreement sharpens, disagreement stays honest -------------
 a = GaussianPosterior(mu=np.array([0.0, 0.0]), var=np.array([1.0, 1.0]))
 b = GaussianPosterior(mu=np.array([1.0, 0.0]), var=np.array([1.0, 4.0]))
-mu, var = fuse([a.mu, b.mu], [1 / a.var, 1 / b.var])
+# fuse takes each expert as (rows, mu, prec) on the rows of a batch that
+# observe it, and starts from summed imputed experts (none here)
+zero = np.zeros((1, 2))
+mu, var = fuse([([0], a.mu, 1 / a.var), ([0], b.mu, 1 / b.var)], (zero, zero))
+mu, var = mu[0], var[0]
 print("expert A: mu", a.mu, "var", a.var)
 print("expert B: mu", b.mu, "var", b.var)
 print("fused   : mu", mu.round(3), "var", var.round(3))

@@ -202,7 +202,7 @@ def _read_csv(path):
 def cmd_score(cfg):
     ds = load_from_config(cfg)
     tc = train_config(cfg)
-    K = ds.K if ds.K is not None else max(2, int(cfg["data"]["clusters"] or 2))
+    K = ds.K if ds.K is not None else 2
     _, latents, _ = build_pretrained(ds, tc, K)
     corr = scoring.view_correlation(latents, ds)
     table = scoring.select_positions(

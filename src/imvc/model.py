@@ -5,14 +5,17 @@ diagonal-Gaussian mixture over the latent z; each view is then decoded
 from z independently (Gaussian or Bernoulli likelihood per view).
 Inference runs the other way: per-view encoders produce diagonal Gaussian
 posteriors q(z | x^v), which are fused across observed views by a
-product of experts (precision-weighted mean, summed precisions). Missing
-views that were selected for imputation get their posterior parameters
-estimated from latent-space neighbors, with the dispersion of neighbor
-means added to the imputed variance as an epistemic term. Imputed experts
-travel densely: ``impute_all`` sums them per sample into a pair
-``(prec, num)`` of (N, d_z) arrays (summed precisions and summed
-precision-weighted means). Every fusion goes through ``fuse``, which
-starts from those sums and adds the observed views in index order.
+product of experts (precision-weighted mean, summed precisions); a view a
+sample does not observe is left out of its product. Missing views that
+were selected for imputation get their posterior parameters estimated
+from latent-space neighbors, with the dispersion of neighbor means added
+to the imputed variance as an epistemic term. Imputed experts travel
+densely: ``impute_all`` sums them per sample into a pair ``(prec, num)``
+of (N, d_z) arrays (summed precisions and summed precision-weighted
+means). An observed view's expert lives only on the rows that observe it,
+as ``(rows, mu, prec)``. Every fusion goes through ``fuse``, which starts
+from the imputed sums and adds the observed views' experts on their rows,
+in view index order.
 
 The training loss is the negative ELBO (reconstruction over observed
 views, mixture KL, categorical KL) plus ``alpha`` times a coherence
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_open
-from .nn import SIGMA_MIN, Mlp, sigmoid, softplus
+from .nn import SIGMA_MIN, Mlp, copy_checked, sigmoid, softplus
 
 VAR_MIN = SIGMA_MIN**2
 
@@ -119,7 +122,23 @@ class DmgmmModel:
         for lk in self.likelihoods:
             if lk not in LIKELIHOODS:
                 raise ValueError(f"unknown likelihood {lk!r}")
+        if not len(self.encoders) == len(self.decoders) == len(self.likelihoods):
+            raise ValueError(
+                f"{len(self.encoders)} encoders, {len(self.decoders)} decoders and "
+                f"{len(self.likelihoods)} likelihoods disagree"
+            )
         self.d_z = int(d_z)
+        for v, (enc, dec, lk) in enumerate(zip(self.encoders, self.decoders, self.likelihoods)):
+            if enc.layer_dims[-1] != 2 * self.d_z or dec.layer_dims[0] != self.d_z:
+                raise ValueError(
+                    f"d_z {self.d_z} disagrees with view {v}'s networks (encoder "
+                    f"output {enc.layer_dims[-1]}, decoder input {dec.layer_dims[0]})"
+                )
+            # a Gaussian decoder emits [mean | sigma], a Bernoulli one logits
+            width = enc.layer_dims[0] * (2 if lk == "gaussian" else 1)
+            if dec.layer_dims[-1] != width:
+                raise ValueError(f"view {v}'s {lk} decoder has output width "
+                                 f"{dec.layer_dims[-1]}, expected {width}")
         self.K = int(K)
         rng = np.random.default_rng(seed)
         self.pi_logits = np.zeros(K)
@@ -203,9 +222,10 @@ def encode_view(model, v, X):
 def encode_all(model, dataset):
     """Per-view posteriors over all samples.
 
-    Unobserved rows hold neutral placeholders (mu 0, var 1) and must be
-    guarded by the mask; only observed rows are ever passed through the
-    encoders, so poisoned masked cells cannot leak.
+    Unobserved rows hold neutral placeholders (mu 0, var 1) that no fusion
+    reads: ``aggregate_observed`` takes each view's expert on its observed
+    rows only. Only observed rows are ever passed through the encoders, so
+    poisoned masked cells cannot leak.
     """
     n, d = dataset.n_samples, model.d_z
     posts = []
@@ -221,24 +241,22 @@ def encode_all(model, dataset):
     return posts
 
 
-def fuse(mus, precs, imputed=None):
-    """Product of Gaussian experts given as means and precisions.
+def fuse(experts, imputed):
+    """Product of Gaussian experts, each on the rows that observe it.
 
-    Starts from the summed imputed experts ``imputed = (prec, num)`` of
-    ``impute_all`` (zeros when None), then adds each expert in order:
-    precisions add and ``num`` gathers precision * mean. Returns plain
-    ``(mu, var)`` arrays; nothing is validated, so a non-finite expert
-    reaches the caller's finiteness checks instead of raising here.
+    Starts from the summed constant experts ``imputed = (prec, num)``
+    (``impute_all``'s pair, or zeros), which are not written. Each expert
+    is ``(rows, mu, prec)``: a view's means and precisions on the rows
+    ``rows`` of the sums. In list order, ``P[rows] += prec`` and
+    ``num[rows] += prec * mu``. Returns plain ``(mu, var)`` arrays; nothing
+    is validated, so a non-finite expert reaches the caller's finiteness
+    checks instead of raising here.
     """
-    if imputed is None:
-        P = np.zeros_like(precs[0])
-        num = np.zeros_like(precs[0])
-    else:
-        P = imputed[0].copy()
-        num = imputed[1].copy()
-    for mu, p in zip(mus, precs):
-        P += p
-        num += p * mu
+    P = imputed[0].copy()
+    num = imputed[1].copy()
+    for rows, mu, prec in experts:
+        P[rows] += prec
+        num[rows] += prec * mu
     var = 1.0 / P
     return num * var, var
 
@@ -249,10 +267,14 @@ def aggregate_observed(view_posteriors, mask, imputed=None):
     ``imputed`` is the ``(prec, num)`` pair of ``impute_all``; its experts
     are added to the observed ones.
     """
-    maskb = np.asarray(mask).astype(bool)
-    mus = [np.where(maskb[:, [v]], p.mu, 0.0) for v, p in enumerate(view_posteriors)]
-    precs = [np.where(maskb[:, [v]], 1.0 / p.var, 0.0) for v, p in enumerate(view_posteriors)]
-    mu, var = fuse(mus, precs, imputed)
+    if imputed is None:
+        zero = np.zeros_like(view_posteriors[0].mu)
+        imputed = (zero, zero)
+    experts = []
+    for v, p in enumerate(view_posteriors):
+        rows = np.flatnonzero(mask[:, v])
+        experts.append((rows, p.mu[rows], 1.0 / p.var[rows]))
+    mu, var = fuse(experts, imputed)
     return GaussianPosterior(mu=mu, var=var)
 
 
@@ -456,43 +478,39 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
     eps is the frozen reparameterization noise, shape (len(batch), d_z).
     imputations is the ``(prec, num)`` pair of ``impute_all`` over all
     samples (or None); its rows for the batch are treated as constant
-    experts (no gradients flow into them). Returns
-    (LossTerms, grads) with grads aligned to ``model.parameters()``.
-    Raises NonFiniteLossError naming the first non-finite term.
+    experts (no gradients flow into them). Each view's networks run on
+    the batch rows that observe it only, so a view that no batch row
+    observes gets exactly zero gradients. Returns (LossTerms, grads) with
+    grads aligned to ``model.parameters()``. Raises NonFiniteLossError
+    naming the first non-finite term.
     """
     batch_idx = np.asarray(batch_idx, dtype=np.int64)
     B = batch_idx.size
     d = model.d_z
     V = model.n_views
-    K = model.K
     obs = dataset.mask[batch_idx].astype(bool)
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (B, d):
         raise ValueError("noise shape must be (batch, d_z)")
     c = 1.0 / B
 
-    # ---- encode observed views ----
-    enc = []
+    # ---- encode: each view's expert lives on the batch rows observing it ----
+    enc = []  # (rows, X, encoder cache, mu, sd, var, prec) per view
     for v in range(V):
-        rows = np.where(obs[:, v])[0]
-        mu_v = np.zeros((B, d))
-        sd_v = np.ones((B, d))
-        cache = None
-        if rows.size:
-            X = dataset.views[v][batch_idx[rows]]
-            out, cache = model.encoders[v].forward(X)
-            mu_v[rows] = out[:, :d]
-            sd_v[rows] = out[:, d:]
-        var_v = sd_v**2
-        prec_v = np.where(obs[:, v][:, None], 1.0 / var_v, 0.0)
-        enc.append(
-            {"rows": rows, "cache": cache, "mu": mu_v, "sd": sd_v,
-             "var": var_v, "prec": prec_v}
-        )
+        rows = np.flatnonzero(obs[:, v])
+        X = dataset.views[v][batch_idx[rows]]
+        out, cache = model.encoders[v].forward(X)
+        sd = out[:, d:]
+        var = sd**2
+        enc.append((rows, X, cache, out[:, :d], sd, var, 1.0 / var))
 
     # ---- product of experts: constant imputed experts, then observed ----
-    imputed = None if imputations is None else tuple(a[batch_idx] for a in imputations)
-    mu_agg, var_agg = fuse([e["mu"] for e in enc], [e["prec"] for e in enc], imputed)
+    if imputations is None:
+        zero = np.zeros((B, d))
+        imputed = (zero, zero)
+    else:
+        imputed = tuple(a[batch_idx] for a in imputations)
+    mu_agg, var_agg = fuse([(rows, mu, prec) for rows, _, _, mu, _, _, prec in enc], imputed)
     sd_agg = np.sqrt(var_agg)
     z = mu_agg + sd_agg * eps
 
@@ -521,16 +539,12 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
     t2 = (gamma * kl_k).sum(axis=1)
     t3 = (gamma * (log_gamma - log_pi[None, :])).sum(axis=1)
 
-    # ---- reconstruction over observed views ----
+    # ---- reconstruction and coherence over each view's rows ----
     recon = np.zeros(B)
-    dec_cache = []
-    for v in range(V):
-        rows = enc[v]["rows"]
-        if rows.size == 0:
-            dec_cache.append(None)
-            continue
+    ch = np.zeros(B)
+    dec = []  # (decoder cache, output) per view
+    for v, (rows, X, _, mu_v, _, var_v, _) in enumerate(enc):
         out, cache = model.decoders[v].forward(z[rows])
-        X = dataset.views[v][batch_idx[rows]]
         if model.likelihoods[v] == "gaussian":
             d_v = X.shape[1]
             m_x, s_x = out[:, :d_v], out[:, d_v:]
@@ -539,21 +553,13 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
             t = out  # identity head: logits
             nll = (softplus(t) - X * t).sum(axis=1)
         recon[rows] += nll
-        dec_cache.append((cache, X, out))
-
-    # ---- coherence ----
-    nobs = obs.sum(axis=1)
-    ch = np.zeros(B)
-    for v in range(V):
-        m = obs[:, v]
-        if not m.any():
-            continue
-        term = 0.5 * (
-            np.log(enc[v]["var"]) - np.log(var_agg)
-            + (var_agg + (mu_agg - enc[v]["mu"]) ** 2) / enc[v]["var"]
+        dec.append((cache, out))
+        ch[rows] += 0.5 * (
+            np.log(var_v) - np.log(var_agg[rows])
+            + (var_agg[rows] + (mu_agg[rows] - mu_v) ** 2) / var_v
             - 1.0
         ).sum(axis=1)
-        ch += np.where(m, term, 0.0)
+    nobs = obs.sum(axis=1)
     ch /= nobs
 
     terms = LossTerms(
@@ -571,12 +577,8 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
     # ================= backward =================
     g_z = np.zeros((B, d))
     dec_grads = []
-    for v in range(V):
-        if dec_cache[v] is None:
-            dec_grads.append([np.zeros_like(p) for p in model.decoders[v].parameters()])
-            continue
-        cache, X, out = dec_cache[v]
-        rows = enc[v]["rows"]
+    for v, (cache, out) in enumerate(dec):
+        rows, X = enc[v][:2]
         if model.likelihoods[v] == "gaussian":
             d_v = X.shape[1]
             m_x, s_x = out[:, :d_v], out[:, d_v:]
@@ -622,45 +624,31 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
     d_mu_agg += g_z
     d_var_agg += g_z * eps / (2.0 * sd_agg)
 
-    # coherence contributions
-    ch_direct = [None] * V
+    # coherence through the fused posterior, from every view before any
+    # expert's backward reads the fused gradients
+    coef = (c * alpha / nobs)[:, None]
     if alpha != 0.0:
-        coef = (c * alpha / nobs)[:, None]
-        for v in range(V):
-            m = obs[:, v][:, None]
-            mu_v, var_v = enc[v]["mu"], enc[v]["var"]
-            d_mu_agg += np.where(m, coef * (mu_agg - mu_v) / var_v, 0.0)
-            d_var_agg += np.where(m, coef * 0.5 * (1.0 / var_v - 1.0 / var_agg), 0.0)
-            dm_dir = np.where(m, coef * (mu_v - mu_agg) / var_v, 0.0)
-            dv_dir = np.where(
-                m,
-                coef * 0.5 * (1.0 / var_v - var_agg / var_v**2
-                              - (mu_agg - mu_v) ** 2 / var_v**2),
-                0.0,
-            )
-            ch_direct[v] = (dm_dir, dv_dir)
+        for rows, _, _, mu_v, _, var_v, _ in enc:
+            d_mu_agg[rows] += coef[rows] * (mu_agg[rows] - mu_v) / var_v
+            d_var_agg[rows] += coef[rows] * 0.5 * (1.0 / var_v - 1.0 / var_agg[rows])
 
-    # product-of-experts backward into each observed expert
+    # product-of-experts backward into each view's expert on its rows, plus
+    # the coherence term's direct path
     enc_grads = []
-    for v in range(V):
-        rows = enc[v]["rows"]
-        if rows.size == 0:
-            enc_grads.append([np.zeros_like(p) for p in model.encoders[v].parameters()])
-            continue
-        m = obs[:, v][:, None]
-        p_v = enc[v]["prec"]
-        mu_v, sd_v, var_v = enc[v]["mu"], enc[v]["sd"], enc[v]["var"]
-        d_m_v = d_mu_agg * p_v * var_agg
-        d_p = np.where(
-            m, d_mu_agg * (mu_v - mu_agg) * var_agg - d_var_agg * var_agg**2, 0.0
-        )
+    for v, (rows, _, cache, mu_v, sd_v, var_v, p_v) in enumerate(enc):
+        dm_agg, dv_agg = d_mu_agg[rows], d_var_agg[rows]
+        m_agg, v_agg = mu_agg[rows], var_agg[rows]
+        d_m_v = dm_agg * p_v * v_agg
+        d_p = dm_agg * (mu_v - m_agg) * v_agg - dv_agg * v_agg**2
         d_var_v = -d_p * p_v**2
-        if ch_direct[v] is not None:
-            d_m_v = d_m_v + ch_direct[v][0]
-            d_var_v = d_var_v + ch_direct[v][1]
+        if alpha != 0.0:
+            cf = coef[rows]
+            d_m_v += cf * (mu_v - m_agg) / var_v
+            d_var_v += cf * 0.5 * (1.0 / var_v - v_agg / var_v**2
+                                   - (m_agg - mu_v) ** 2 / var_v**2)
         d_sd_v = d_var_v * 2.0 * sd_v
-        d_out = np.concatenate([d_m_v[rows], d_sd_v[rows]], axis=1)
-        gv, _ = model.encoders[v].backward(enc[v]["cache"], d_out, input_grad=False)
+        d_out = np.concatenate([d_m_v, d_sd_v], axis=1)
+        gv, _ = model.encoders[v].backward(cache, d_out, input_grad=False)
         enc_grads.append(gv)
 
     grads = []
@@ -704,7 +692,6 @@ def load_model(path):
         d_z=payload["d_z"],
         K=payload["K"],
     )
-    model.pi_logits = np.asarray(payload["pi_logits"], dtype=np.float64)
-    model.prior_mu = np.asarray(payload["prior_mu"], dtype=np.float64)
-    model.prior_rho = np.asarray(payload["prior_rho"], dtype=np.float64)
+    for name in ("pi_logits", "prior_mu", "prior_rho"):
+        copy_checked(getattr(model, name), payload[name], name)
     return model

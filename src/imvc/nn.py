@@ -44,6 +44,15 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def copy_checked(dst, src, name):
+    """Copy ``src`` into the array ``dst`` in place; ``src`` must have
+    exactly ``dst``'s shape, or a ValueError names the field ``name``."""
+    src = np.asarray(src, dtype=np.float64)
+    if src.shape != dst.shape:
+        raise ValueError(f"{name} has shape {src.shape}, expected {dst.shape}")
+    dst[...] = src
+
+
 class Mlp:
     """Multilayer perceptron with ReLU hidden layers and sliced output heads.
 
@@ -175,9 +184,13 @@ class Mlp:
     @classmethod
     def from_dict(cls, d):
         net = cls(d["layer_dims"], heads=[tuple(h) for h in d["heads"]])
+        if len(d["weights"]) != net.n_layers or len(d["biases"]) != net.n_layers:
+            raise ValueError(f"{net.n_layers} layers, but {len(d['weights'])} weights "
+                             f"and {len(d['biases'])} biases")
         for l, (w, b) in enumerate(zip(d["weights"], d["biases"])):
-            net.weights[l] = np.asarray(w, dtype=np.float64).reshape(net.weights[l].shape)
-            net.biases[l] = np.asarray(b, dtype=np.float64)
+            # weights are stored raveled; reshape(-1) of a C-ordered array is a view
+            copy_checked(net.weights[l].reshape(-1), w, f"weights[{l}]")
+            copy_checked(net.biases[l], b, f"biases[{l}]")
         return net
 
 

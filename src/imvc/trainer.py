@@ -11,6 +11,7 @@ loss. Unobserved feature cells are never read anywhere in this pipeline.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,6 +297,10 @@ def build_pretrained(dataset, config, K):
     """
     dataset.check_views_observed()
     likelihoods = config.likelihoods or ["gaussian"] * dataset.n_views
+    if len(likelihoods) != dataset.n_views:
+        raise ValueError(
+            f"{len(likelihoods)} likelihoods given for {dataset.n_views} views"
+        )
     for v, lk in enumerate(likelihoods):
         if lk == "bernoulli":
             obs = dataset.observed(v)
@@ -418,8 +423,6 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
             and config.checkpoint_every > 0
             and (epoch + 1) % config.checkpoint_every == 0
         ):
-            import os
-
             os.makedirs(checkpoint_dir, exist_ok=True)
             M.save_model(
                 model, os.path.join(checkpoint_dir, f"checkpoint_{epoch + 1}.json")

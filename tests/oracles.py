@@ -1,12 +1,15 @@
 """Per-sample reference implementations of batched pipeline steps.
 
-The library computes imputation, fusion and the coherence term densely
-over all samples at once (``model.impute_all``, ``model.fuse``,
-``model.loss_and_grads``). These functions redo the same arithmetic one
+The library computes imputation, fusion and the coherence term over all
+samples at once: ``model.impute_all`` as dense per-sample sums,
+``model.fuse`` and ``model.loss_and_grads`` over each view's expert on
+the rows that observe it. These functions redo the same arithmetic one
 sample and one position at a time, in the form the method is usually
-written down, so the tests can compare the two. ``impute_all_bruteforce``
-is the dense imputation without the blocked neighbour search: the full
-query x donor distance matrix and a stable argsort.
+written down, so the tests can compare the two;
+``fuse_with_imputation`` fuses one sample's experts as a one-row batch.
+``impute_all_bruteforce`` is the dense imputation without the blocked
+neighbour search: the full query x donor distance matrix and a stable
+argsort.
 ``plugin_impute_per_position`` ranks the raw-feature donors of
 ``metrics.plugin_impute`` one selected position at a time, from dense
 N x N distance matrices per view. ``info_scores_per_position`` scores one
@@ -119,8 +122,9 @@ def fuse_with_imputation(dataset, table, i, view_posteriors, k=10):
                 experts.append(
                     impute_distribution(dataset, table, agg_all, view_posteriors, i, v, k=k)
                 )
-    mu, var = fuse([p.mu for p in experts], [1.0 / p.var for p in experts])
-    return GaussianPosterior(mu=mu, var=var)
+    zero = np.zeros((1, view_posteriors[0].mu.shape[1]))
+    mu, var = fuse([([0], p.mu, 1.0 / p.var) for p in experts], (zero, zero))
+    return GaussianPosterior(mu=mu[0], var=var[0])
 
 
 def kl_diag_gaussian(a, b):

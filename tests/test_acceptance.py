@@ -123,7 +123,9 @@ class TestCriterion2Poe:
             d = int(rng.integers(1, 6))
             mus = rng.normal(size=(k, d)) * 5
             vars_ = rng.uniform(1e-4, 50.0, size=(k, d))
-            out_mu, out_var = fuse(list(mus), list(1.0 / vars_))
+            zero = np.zeros((1, d))
+            out_mu, out_var = fuse([([0], m, 1.0 / v) for m, v in zip(mus, vars_)],
+                                   (zero, zero))
             prec = (1.0 / vars_).sum(axis=0)
             worst_prec = max(
                 worst_prec, float(np.abs(1.0 / out_var - prec).max() / prec.max())

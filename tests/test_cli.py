@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import imvc.cli
+import imvc.trainer
 from imvc.cli import config_hash, main, read_config
 from imvc.svg import grouped_bar_chart, line_chart
 
@@ -368,6 +369,22 @@ class TestExitCodes:
         rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "view 2 has no observed samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "fit"])
+    @pytest.mark.parametrize("likelihoods", ["gaussian", "gaussian, gaussian, bernoulli"])
+    def test_likelihood_count_mismatch_exits_1(
+        self, workspace, tmp_path, monkeypatch, capsys, command, likelihoods
+    ):
+        root, cfg = workspace
+
+        def no_training(*args, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(imvc.trainer, "pretrain", no_training)
+        rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path),
+                   "--set", f"train.likelihoods={likelihoods}"])
+        assert rc == 1
+        assert "likelihoods given for 2 views" in capsys.readouterr().err
 
     def test_diverging_fit_exits_2(self, workspace, tmp_path, capsys):
         root, cfg = workspace

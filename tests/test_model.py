@@ -1,3 +1,4 @@
+import json
 import os
 import tracemalloc
 
@@ -56,9 +57,11 @@ def small_dataset(seed, n=12, dims=(5, 4, 3), rate=0.3, binary_views=()):
 
 
 def poe(experts):
-    """``fuse`` over a list of posteriors, as one posterior."""
-    mu, var = fuse([p.mu for p in experts], [1.0 / p.var for p in experts])
-    return GaussianPosterior(mu, var)
+    """``fuse`` over a list of single-sample posteriors, as one posterior:
+    every expert sits on row 0 of a one-row batch."""
+    zero = np.zeros((1, experts[0].mu.size))
+    mu, var = fuse([([0], p.mu, 1.0 / p.var) for p in experts], (zero, zero))
+    return GaussianPosterior(mu[0], var[0])
 
 
 def row(post, i):
@@ -683,6 +686,22 @@ class TestLossGradients:
         batch = [9, 2, 5, 0, 11, 6, 3]
         assert fd_check_loss(34, alpha=5.0, with_imputations=True, batch=batch) <= 1e-4
 
+    def test_view_without_rows_gradcheck(self):
+        # no sample of this sub-batch observes view 0: its expert has no rows
+        # (each sample gets an imputed view-0 expert instead), and its two
+        # networks get exactly zero gradients
+        ds, model, eps, imput = make_loss_instance(35, with_imputations=True)
+        batch = np.flatnonzero(ds.mask[:, 0] == 0)
+        assert batch.size > 1 and ds.mask[batch, 1:].any(axis=0).all()
+        _, grads = loss_and_grads(model, ds, batch, eps[batch], alpha=5.0,
+                                  imputations=imput)
+        n_enc = sum(len(net.parameters()) for net in model.encoders)
+        enc0 = grads[:len(model.encoders[0].parameters())]
+        dec0 = grads[n_enc:n_enc + len(model.decoders[0].parameters())]
+        for g in enc0 + dec0:
+            np.testing.assert_array_equal(g, 0.0)
+        assert fd_check_loss(35, alpha=5.0, with_imputations=True, batch=batch) <= 1e-4
+
     def test_subbatches_recombine_to_full_batch(self):
         # every term is a per-sample mean, so sub-batch losses and gradients
         # weighted by size give the full-batch ones; wrong imputed rows would not
@@ -776,6 +795,39 @@ def test_model_checkpoint_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         (tmp_path / "junk.json").write_text("{}")
         load_model(tmp_path / "junk.json")
+
+
+def _short_pi_logits(payload):
+    payload["pi_logits"] = payload["pi_logits"][:2]
+
+
+def _wrong_d_z(payload):
+    payload["d_z"] += 1
+
+
+def _short_bias(payload):
+    payload["decoders"][0]["biases"][1] = [0.0] * 3
+
+
+def _wrong_likelihood(payload):
+    payload["likelihoods"][0] = "bernoulli"
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_short_pi_logits, r"pi_logits has shape \(2,\), expected \(4,\)"),
+    (_wrong_d_z, r"d_z 4 disagrees with view 0's networks"),
+    (_short_bias, r"biases\[1\] has shape \(3,\), expected \(8,\)"),
+    (_wrong_likelihood, r"view 0's bernoulli decoder has output width 10, expected 5"),
+], ids=["pi_logits", "d_z", "bias", "likelihood"])
+def test_inconsistent_checkpoint_rejected(tmp_path, corrupt, message):
+    ds = small_dataset(51)
+    path = tmp_path / "model.json"
+    save_model(small_model(ds, 51, K=4), path)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, failing_json_dump):

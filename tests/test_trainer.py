@@ -163,6 +163,17 @@ class TestUnobservedView:
             normalize(unobserved_third_view())
 
 
+@pytest.mark.parametrize("likelihoods", [["gaussian"], ["gaussian"] * 4])
+def test_likelihood_count_rejected_before_training(monkeypatch, likelihoods):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(trainer, "pretrain", no_training)
+    cfg = quick_config(likelihoods=likelihoods)
+    with pytest.raises(ValueError, match=f"^{len(likelihoods)} likelihoods given for 3 views$"):
+        trainer.build_pretrained(masked_synthetic(), cfg, 3)
+
+
 class TestPretrainEqualsReference:
     """``pretrain`` runs only the networks' trunks; its latents, losses and
     every trained parameter equal the full-pass reference's bit for bit."""
