@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import MultiViewDataset
-from .model import QUERY_BLOCK
+from .model import QUERY_BLOCK, check_neighbors
 from .scoring import view_distances
 
 
@@ -135,22 +135,51 @@ def ari(pred, truth):
     return num / den
 
 
+def _k_nearest(key, usable, k):
+    """Columns of each row's k smallest keys among its ``usable`` columns.
+
+    Every row needs at least one usable column. Row r's first
+    min(k, usable[r].sum()) columns equal those of
+    ``np.lexsort((key, ~usable), axis=1)``: usable columns by key with NaN
+    last, ties to the lower column; the rest repeat its last usable one,
+    and k is capped at the column count. Rows are not sorted whole:
+    ``np.partition`` finds each row's k-th smallest usable key, and only
+    the usable columns whose key is not above it are sorted. Where it is
+    finite they hold the k smallest, ties included; where it is inf or
+    NaN (fewer than k finite usable keys) they are all the usable columns.
+    """
+    n, m = key.shape
+    k = min(k, m)
+    kth = np.partition(np.where(usable, key, np.inf), k - 1, axis=1)[:, k - 1]
+    r, c = np.nonzero(usable & ~(key > kth[:, None]))
+    # np.nonzero lists each row's columns ascending, and the sort is stable
+    c = c[np.lexsort((key[r, c], r))]
+    count = np.bincount(r, minlength=n)
+    start = np.cumsum(count) - count
+    return c[start[:, None] + np.minimum(np.arange(k), count[:, None] - 1)]
+
+
 def plugin_impute(dataset, table, k=10):
     """Fill selected missing positions with raw-space neighbor means.
 
     For each selected position (i, v), candidate donors are samples
     observed in view v that share at least one observed view with i; they
     are ranked by the average of per-shared-view Euclidean distances
-    (``scoring.view_distances``; ties go to the lower donor index) and the
-    k nearest donate the unweighted mean of their view-v rows. Donors are
-    ranked per view over blocks of ``model.QUERY_BLOCK`` querying samples,
-    each computing only its own rows of distances, so memory is
-    O(block * N). Fills are computed from the original observed data only.
+    (``scoring.view_distances``; ties go to the lower donor index, NaN
+    distances rank last) and the k nearest donate the unweighted mean of
+    their view-v rows, added nearest first. Donors are ranked per view
+    over blocks of ``model.QUERY_BLOCK`` querying samples, each computing
+    only its own rows of distances, so memory is O(block * N). Within a
+    block only each query's k nearest are sorted (``_k_nearest``): a
+    partial selection finds the k-th smallest distance, and only the
+    donors not farther are sorted; a query with fewer than k finite
+    distances sorts all its usable donors. The order equals that of a
+    full sort. Fills are computed from the original observed data only.
     Returns (new dataset, imputed flag matrix); observed cells and
     unselected positions are untouched, and filled cells get mask 1.
+    Raises ValueError unless k is an integer of at least 1.
     """
-    if k < 1:
-        raise ValueError(f"need at least one neighbor, got k={k}")
+    check_neighbors(k)
     mask = dataset.mask.astype(bool)
     new_views = [X.copy() for X in dataset.views]
     new_mask = dataset.mask.copy()
@@ -180,9 +209,7 @@ def plugin_impute(dataset, table, k=10):
                 total[np.ix_(a, b)] += view_distances(dataset, u, qb[a], donors[b])
             count = maskf[qb] @ maskf[donors].T
             usable = count > 0
-            # donors sharing a view first, each group by mean distance (NaN
-            # last), ties to the lower donor index
-            order = np.lexsort((total / np.maximum(count, 1.0), ~usable), axis=1)
+            order = _k_nearest(total / np.maximum(count, 1.0), usable, k)
             kk = np.minimum(k, usable.sum(axis=1))
             # rows grouped by neighbour count, so each mean reduces a
             # (c, d) slice in the same order as a one-query mean would

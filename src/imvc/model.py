@@ -28,6 +28,7 @@ mixture parameters; imputed expert parameters are treated as constants
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,6 +295,14 @@ def w2_distance(a, b):
 # one call needs O(block * N) memory.
 QUERY_BLOCK = 256
 
+
+def check_neighbors(k, name="k"):
+    """Raise ValueError unless the neighbour count k is an integer >= 1."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"need at least one neighbor: {name} must be an integer >= 1, "
+                         f"got {k!r}")
+
+
 # squared feature norms below this keep every GEMM-form value finite; a
 # block with a larger (or NaN) norm re-ranks every donor
 _SQ_MAX = np.finfo(np.float64).max / 8
@@ -375,8 +384,9 @@ def impute_all(dataset, table, view_posteriors, k=10):
     O(N^2). Returns ``(prec, num)``, two (N, d_z) arrays: prec[i] sums
     1/var_hat and num[i] sums mu_hat/var_hat over the views selected for
     sample i, in ascending view order; rows with no selected view are
-    zero.
+    zero. Raises ValueError unless k is an integer of at least 1.
     """
+    check_neighbors(k)
     n, d = view_posteriors[0].mu.shape
     prec = np.zeros((n, d))
     num = np.zeros((n, d))
@@ -396,7 +406,7 @@ def impute_all(dataset, table, view_posteriors, k=10):
         if donors.size == 0:
             raise ValueError(f"no sample observes view {v}; cannot impute")
         q = np.unique(pos[pos[:, 1] == v, 0])
-        nb, dn = _nearest_donors(agg, feats, sq, q, donors, min(int(k), donors.size))
+        nb, dn = _nearest_donors(agg, feats, sq, q, donors, min(k, donors.size))
         e = np.exp(-(dn - dn.min(axis=1, keepdims=True)))
         w = e / e.sum(axis=1, keepdims=True)
         mu_nb = view_posteriors[v].mu[nb]  # (nq, k, d)

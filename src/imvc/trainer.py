@@ -66,8 +66,7 @@ class TrainConfig:
         # written so that NaN fails each comparison
         if not 0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
-        if self.n_neighbors < 1:
-            raise ValueError("need at least one neighbor")
+        M.check_neighbors(self.n_neighbors, "n_neighbors")
         if self.d_z < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("d_z and every hidden width must be at least 1")
         for name, lr in (("pretrain_lr", self.pretrain_lr), ("train_lr", self.train_lr)):

@@ -12,7 +12,10 @@ neighbour search: the full query x donor distance matrix and a stable
 argsort.
 ``plugin_impute_per_position`` ranks the raw-feature donors of
 ``metrics.plugin_impute`` one selected position at a time, from dense
-N x N distance matrices per view. ``info_scores_per_position`` scores one
+N x N distance matrices per view, and ``lexsort_nearest`` is the full
+two-key sort whose first min(k, usable donors) columns of a row its
+partial selection ``metrics._k_nearest`` must equal.
+``info_scores_per_position`` scores one
 missing position at a time with one ``math.fsum`` per support member.
 ``pairwise_similarity`` is the dense N x N similarity matrix of one view
 that ``scoring.info_scores`` streams by query blocks.
@@ -153,6 +156,13 @@ def score_of(table, i, v):
     if idx.size == 0:
         raise KeyError(f"({i}, {v}) is not a missing position")
     return float(table.scores[idx[0]])
+
+
+def lexsort_nearest(key, usable, k):
+    """Columns of each row's k nearest donors by a full sort of the row:
+    usable columns first, each group by key with NaN last, ties to the
+    lower column."""
+    return np.lexsort((key, ~usable), axis=1)[:, :k]
 
 
 def plugin_impute_per_position(dataset, table, k=10):

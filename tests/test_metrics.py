@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from imvc.data import MultiViewDataset
-from imvc.metrics import _max_matching, accuracy, ari, nmi, plugin_impute
+from imvc.metrics import _k_nearest, _max_matching, accuracy, ari, nmi, plugin_impute
 from imvc.model import QUERY_BLOCK
 from imvc.scoring import InfoTable, info_scores, select_positions
 
-from oracles import plugin_impute_per_position
+from oracles import lexsort_nearest, plugin_impute_per_position
 from test_scoring import scale_instance, traced_peak_bytes
 
 
@@ -168,19 +168,23 @@ def table_for(dataset, select_all=True):
     )
 
 
-def plugin_instance(seed, n=60, V=3, ties=False, long_view=False, nan_row=False):
-    """Random raw views under a random mask with a random half of the
-    missing positions selected.
+def plugin_instance(seed, n=60, V=3, ties=False, long_view=False, nan_row=False, missing=0.4):
+    """Random raw views under a random mask (each cell missing with
+    probability ``missing``) with a random half of the missing positions
+    selected.
 
     With ``ties`` every view's rows repeat three integer patterns, so many
     donors are exactly equidistant from a query. With ``long_view`` the
     first QUERY_BLOCK + 1 samples miss view 0 and observe view 1, and all of
     view 0's positions are selected, so it has more than one block of
     queries. With ``nan_row`` one observed view-1 row is NaN, so its
-    distances are NaN.
+    distances are NaN. With ``missing=0.65`` and k=8, every seed has a
+    query block that holds both queries with at least k usable donors and
+    queries with fewer, so both paths of ``metrics._k_nearest`` run in one
+    call.
     """
     rng = np.random.default_rng(seed)
-    mask = (rng.random((n, V)) >= 0.4).astype(int)
+    mask = (rng.random((n, V)) >= missing).astype(int)
     if long_view:
         mask[:QUERY_BLOCK + 1, :2] = (0, 1)
     mask[mask.sum(axis=1) == 0, 0] = 1
@@ -195,6 +199,45 @@ def plugin_instance(seed, n=60, V=3, ties=False, long_view=False, nan_row=False)
     if long_view:
         table.selected[table.positions[:, 1] == 0] = True
     return ds, table
+
+
+NAN, INF = np.nan, np.inf
+
+# (key, usable) rows of hand-built donor rankings; each is checked at every k
+# from 1 to one past the donor count
+NEAREST_CASES = {
+    # the k-th value is shared by several donors on either side of it
+    "ties-across-kth": ([[2.0, 1.0, 2.0, 0.0, 2.0, 1.0, 2.0],
+                         [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                         [0.0, -0.0, 0.0, 3.0, -0.0, 0.0, 3.0]],
+                        [[1] * 7] * 3),
+    # unusable donors (key 0, as a donor sharing no view gets) at the lower
+    # indices, +inf and NaN keys on usable ones
+    "inf-nan-keys": ([[0.0, 0.0, NAN, INF, 0.5, 0.2, NAN, 0.2],
+                      [0.0, 0.0, INF, NAN, INF, 0.1, 0.3, INF],
+                      [0.0, 0.0, NAN, NAN, NAN, NAN, NAN, NAN]],
+                     [[0, 0, 1, 1, 1, 1, 1, 1]] * 3),
+    # rows with fewer usable donors than k next to rows with more
+    "few-usable": ([[0.3, 0.1, 0.2, 0.4, 0.5, 0.0],
+                    [0.3, 0.1, 0.2, 0.4, 0.5, 0.0],
+                    [0.3, 0.1, 0.2, 0.4, 0.5, 0.0]],
+                   [[1, 1, 1, 1, 1, 1],
+                    [0, 1, 0, 1, 0, 0],
+                    [1, 0, 0, 0, 0, 1]]),
+    "single-donor": ([[NAN], [0.0], [2.0], [INF]], [[1], [1], [1], [1]]),
+}
+
+
+@pytest.mark.parametrize("case", NEAREST_CASES)
+def test_k_nearest_equals_full_sort(case):
+    # only a row's first min(k, usable donors) columns are meaningful
+    key, usable = NEAREST_CASES[case]
+    key, usable = np.array(key), np.array(usable, dtype=bool)
+    for k in range(1, key.shape[1] + 2):
+        ref = lexsort_nearest(key, usable, k)
+        got = _k_nearest(key, usable, k)
+        for r, kk in enumerate(np.minimum(k, usable.sum(axis=1))):
+            np.testing.assert_array_equal(got[r, :kk], ref[r, :kk], err_msg=f"k={k}, row {r}")
 
 
 class TestPluginImpute:
@@ -269,6 +312,13 @@ class TestPluginImpute:
         with pytest.raises(ValueError, match="at least one neighbor"):
             plugin_impute(ds, table_for(ds), k=0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", True])
+    def test_non_integer_neighbors_rejected(self, k):
+        # a float k used to fail with a TypeError from slicing
+        ds = self.hand_dataset()
+        with pytest.raises(ValueError, match=f"at least one neighbor.*got {k!r}$"):
+            plugin_impute(ds, table_for(ds), k=k)
+
     @pytest.mark.parametrize("case,k", [
         (dict(), 3),
         (dict(ties=True), 5),
@@ -276,8 +326,9 @@ class TestPluginImpute:
         (dict(V=4), 4),
         (dict(n=2 * QUERY_BLOCK, ties=True, long_view=True), 7),
         (dict(nan_row=True), 100),
+        (dict(missing=0.65), 8),
     ], ids=["random", "exact-ties", "k-above-donors", "four-views", "two-query-blocks",
-            "nan-distances"])
+            "nan-distances", "few-usable-donors"])
     def test_bitwise_equal_to_per_position(self, case, k):
         for seed in range(8):
             ds, table = plugin_instance(seed, **case)

@@ -504,6 +504,14 @@ class TestImputeAll:
         assert prec.shape == (ds.n_samples, posts[0].mu.shape[1])
         assert not prec.any() and not num.any()
 
+    @pytest.mark.parametrize("k", [0, 2.5])
+    def test_neighbor_count_rejected(self, k):
+        # k=0 used to fail with a zero-size reduction, and 2.5 was
+        # truncated to 2
+        ds, posts = self.instance()
+        with pytest.raises(ValueError, match=f"at least one neighbor.*got {k!r}$"):
+            impute_all(ds, selected_table(ds), posts, k=k)
+
     def test_observed_selection_rejected(self):
         ds, posts = self.instance()
         table = selected_table(ds)

@@ -39,10 +39,11 @@ class TestTrainConfig:
         "bad", [dict(log_every=0), dict(batch_size=-1), dict(checkpoint_every=-1),
                 dict(d_z=0), dict(train_lr=0.0), dict(pretrain_lr=-1e-3),
                 dict(hidden=(16, 0)), dict(alpha=np.nan), dict(alpha=np.inf),
-                dict(train_lr=np.inf), dict(pretrain_lr=np.inf), dict(train_lr=np.nan)],
+                dict(train_lr=np.inf), dict(pretrain_lr=np.inf), dict(train_lr=np.nan),
+                dict(n_neighbors=0), dict(n_neighbors=2.5)],
         ids=["log_every", "batch_size", "checkpoint_every", "d_z", "train_lr",
              "pretrain_lr", "hidden", "alpha_nan", "alpha_inf", "train_lr_inf",
-             "pretrain_lr_inf", "train_lr_nan"],
+             "pretrain_lr_inf", "train_lr_nan", "n_neighbors", "n_neighbors_float"],
     )
     def test_out_of_range_rejected(self, bad):
         # the message names the field
