@@ -57,7 +57,6 @@ DEFAULTS = {
         "likelihoods": "",
         "seed": "0",
         "log_every": "10",
-        "checkpoint_every": "0",
     },
     "sweep": {
         "rates": "",
@@ -146,7 +145,6 @@ def train_config(cfg, **kw):
         likelihoods=_strings(t["likelihoods"]) or None,
         seed=int(t["seed"]),
         log_every=int(t["log_every"]),
-        checkpoint_every=int(t["checkpoint_every"]),
     )
     base.update(kw)
     try:
@@ -251,7 +249,7 @@ def cmd_fit(cfg):
     tc = train_config(cfg)
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
-    res = fit(ds, tc, checkpoint_dir=out_dir)
+    res = fit(ds, tc)
     result_path = os.path.join(out_dir, "result.json")
     payload = _result_payload(cfg, res, ds.labels)
     with atomic_open(result_path) as fh:

@@ -56,6 +56,8 @@ class MultiViewDataset:
         rows = np.where(self.mask.sum(axis=1) == 0)[0]
         if rows.size:
             raise ValueError(f"sample {rows[0]} has no observed view")
+        if self.K is not None and self.K < 1:
+            raise ValueError(f"cluster count must be at least 1, got {self.K}")
         if self.labels is not None:
             y = np.asarray(self.labels)
             if y.shape != (n,):
@@ -157,16 +159,22 @@ def normalize(dataset):
 
     Statistics come from observed rows only, so masked cells cannot leak
     into the scaling; masked rows are transformed with the same statistics
-    (they stay finite but are never read by the model). Constant columns
-    map to 0. Idempotent. Raises ValueError when a view has no observed
-    row to take statistics from.
+    (they may hold anything, NaN included; the model never reads them).
+    Constant columns map to 0. Idempotent. Raises ValueError when a view
+    has no observed row, or when an observed cell is NaN or infinite.
     """
     dataset.check_views_observed()
     views = []
     for v, X in enumerate(dataset.views):
         obs = dataset.mask[:, v] == 1
-        lo = X[obs].min(axis=0)
-        hi = X[obs].max(axis=0)
+        X_obs = X[obs]
+        bad = np.argwhere(~np.isfinite(X_obs))
+        if bad.size:
+            (i, j), rows = bad[0], np.flatnonzero(obs)
+            raise ValueError(f"view {v}: observed cell (sample {rows[i]}, column {j}) "
+                             f"is {X_obs[i, j]}, not a finite number")
+        lo = X_obs.min(axis=0)
+        hi = X_obs.max(axis=0)
         span = hi - lo
         keep = span > 0
         Y = np.zeros_like(X)

@@ -11,7 +11,6 @@ loss. Unobserved feature cells are never read anywhere in this pipeline.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,13 +51,12 @@ class TrainConfig:
     likelihoods: list | None = None
     seed: int = 0
     log_every: int = 10
-    checkpoint_every: int = 0  # 0 = no periodic checkpoints
 
     def __post_init__(self):
         if self.train_epochs <= 0 or self.pretrain_epochs < 0:
             raise ValueError("epoch counts must be positive")
-        if self.batch_size < 0 or self.checkpoint_every < 0:
-            raise ValueError("batch_size and checkpoint_every must be non-negative")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be non-negative")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
         if not 0.0 <= self.selection_ratio <= 1.0:
@@ -242,7 +240,7 @@ def _kmeans_once(X, K, rng):
 
 def kmeans_pp(X, K, seed):
     """k-means++ with Lloyd refinement; best of ``KMEANS_RESTARTS`` restarts."""
-    if K > X.shape[0]:
+    if not 1 <= K <= X.shape[0]:
         raise ValueError(f"cannot place {K} clusters on {X.shape[0]} points")
     rng = np.random.default_rng(seed)
     best = None
@@ -322,10 +320,10 @@ def _imputed_experts(dataset, table, posts, k):
     return M.impute_all(dataset, table, posts, k=k)
 
 
-def _deterministic_assignments(model, dataset, table, k, posts):
-    """Cluster assignments from the noise-free fused posterior mean, given
-    the model's per-view posteriors ``posts``."""
-    agg = M.aggregate_observed(posts, dataset.mask, _imputed_experts(dataset, table, posts, k))
+def _deterministic_assignments(model, dataset, posts, imput):
+    """Cluster assignments from the noise-free fused posterior mean of the
+    per-view posteriors ``posts`` and the imputed experts ``imput``."""
+    agg = M.aggregate_observed(posts, dataset.mask, imput)
     gamma = M.responsibilities(model.prior, agg.mu)
     return gamma.argmax(axis=1), gamma
 
@@ -336,15 +334,15 @@ def label_metrics(assign, labels):
             "ari": ari(assign, labels)}
 
 
-def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
+def fit(dataset, config, selective_imputation=True):
     """Full pipeline; returns a FitResult with final hard assignments.
 
     With selective_imputation=False (or a selection ratio of 0, or
     complete data) the epoch loop reduces to plain observed-view fusion;
     the code path is otherwise identical, so gate-closed runs reproduce
-    the imputation-free variant bit for bit. When checkpoint_dir is given
-    and config.checkpoint_every > 0, the model is snapshotted there every
-    that many epochs.
+    the imputation-free variant bit for bit. The selected positions are
+    imputed once per parameter state: the next epoch's loss, the logged
+    eval and the final assignments all read the same experts.
     """
     K = dataset.K
     if K is None:
@@ -381,10 +379,11 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
     snapshot = (model.copy_params(), opt.state_dict())
     retries = 0
     epoch = 0
-    # posts holds the posteriors of the current parameters throughout
+    # posts holds the posteriors of the current parameters throughout and
+    # imput the experts imputed from them, which a retried epoch reuses
+    imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
     while epoch < config.train_epochs:
         try:
-            imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
             if batch == n:
                 batches = [np.arange(n)]
             else:
@@ -417,27 +416,17 @@ def fit(dataset, config, selective_imputation=True, checkpoint_dir=None):
 
         snapshot = (model.copy_params(), opt.state_dict())
         posts = M.encode_all(model, dataset)
-        if (
-            checkpoint_dir is not None
-            and config.checkpoint_every > 0
-            and (epoch + 1) % config.checkpoint_every == 0
-        ):
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            M.save_model(
-                model, os.path.join(checkpoint_dir, f"checkpoint_{epoch + 1}.json")
-            )
+        imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
         entry = {"epoch": epoch, **logged}
         # the last epoch is evaluated once, below, with the final assignments
         if (dataset.labels is not None and epoch % config.log_every == 0
                 and epoch < config.train_epochs - 1):
-            assign, _ = _deterministic_assignments(model, dataset, table,
-                                                   config.n_neighbors, posts)
+            assign, _ = _deterministic_assignments(model, dataset, posts, imput)
             entry.update(label_metrics(assign, dataset.labels))
         history.append(entry)
         epoch += 1
 
-    assignments, gamma = _deterministic_assignments(model, dataset, table,
-                                                    config.n_neighbors, posts)
+    assignments, gamma = _deterministic_assignments(model, dataset, posts, imput)
     if dataset.labels is not None:
         history[-1].update(label_metrics(assignments, dataset.labels))
     return FitResult(

@@ -9,8 +9,10 @@ import pytest
 
 import imvc.cli
 import imvc.trainer
-from imvc.cli import config_hash, main, read_config
+from imvc.cli import config_hash, main, read_config, train_config
+from imvc.model import aggregate_observed, encode_all, load_model, responsibilities
 from imvc.svg import grouped_bar_chart, line_chart
+from imvc.trainer import TrainConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -87,6 +89,9 @@ class TestConfig:
         c = config_hash(read_config(str(cfg), ["train.seed=5"]))
         assert a == b and a != c
 
+    def test_ini_defaults_equal_train_config_defaults(self):
+        assert train_config(read_config(None, [])) == TrainConfig()
+
 
 class TestScore:
     def test_complete_dataset_empty_body(self, tmp_path):
@@ -136,6 +141,20 @@ class TestFit:
         assert {"acc", "nmi", "ari"} <= set(payload["metrics"])
         assert len(payload["assignments"]) == 60
         assert os.path.exists(root / "out" / "model.json")
+
+    def test_model_json_reproduces_assignments(self, workspace, tmp_path):
+        # with nothing imputed, the final assignments depend on the model
+        # and the data alone, so model.json must hold the whole model
+        root, cfg = workspace
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path),
+                     "--set", "train.selection_ratio=0"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["model.json", "result.json"]
+        model = load_model(tmp_path / "model.json")
+        ds = imvc.cli.load_from_config(read_config(str(cfg), []))
+        agg = aggregate_observed(encode_all(model, ds), ds.mask)
+        assign = responsibilities(model.prior, agg.mu).argmax(axis=1)
+        payload = json.loads((tmp_path / "result.json").read_text())
+        assert assign.tolist() == payload["assignments"]
 
     def test_identical_seeds_identical_json(self, workspace, tmp_path):
         root, cfg = workspace
@@ -322,7 +341,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,setting", [
         ("fit", "train.log_every=0"),
         ("fit", "train.batch_size=-1"),
-        ("fit", "train.checkpoint_every=-1"),
         ("fit", "train.latent_dim=0"),
         ("fit", "train.lr=-1"),
         ("fit", "train.hidden=0"),
@@ -346,6 +364,41 @@ class TestExitCodes:
         rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path),
                    "--set", setting])
         assert rc == 1
+
+    def test_removed_checkpoint_key_rejected(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path),
+                   "--set", "train.checkpoint_every=1"])
+        assert rc == 1
+        assert "unknown config key train.checkpoint_every" in capsys.readouterr().err
+
+    def test_zero_clusters_exits_1_before_training(self, workspace, tmp_path,
+                                                   monkeypatch, capsys):
+        root, cfg = workspace
+
+        def no_training(*args, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(imvc.cli, "build_pretrained", no_training)
+        monkeypatch.setattr(imvc.cli, "fit", no_training)
+        rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path),
+                   "--set", "data.labels=", "--clusters", "0"])
+        assert rc == 1
+        assert "cluster count must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_non_finite_observed_cell_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        assert main(["gen-data", "--out-dir", str(data), "--samples", "30",
+                     "--clusters", "2", "--dims", "3,2", "--seed", "1"]) == 0
+        X = np.loadtxt(data / "view1.csv", delimiter=",")
+        X[4, 1] = np.nan
+        np.savetxt(data / "view1.csv", X, delimiter=",")
+        rc = main(["score", "--views", f"{data}/view0.csv,{data}/view1.csv",
+                   "--clusters", "2", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "view 1: observed cell (sample 4, column 1) is nan" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_unobserved_view_exits_1(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "d"

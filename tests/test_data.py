@@ -58,6 +58,11 @@ class TestLoad:
         with pytest.raises(ValueError, match="non-numeric"):
             load_dataset([a])
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_cluster_count_below_one(self, K):
+        with pytest.raises(ValueError, match=f"cluster count must be at least 1, got {K}"):
+            MultiViewDataset(views=[np.zeros((3, 2))], mask=np.ones((3, 1)), K=K)
+
     def test_labels_give_K(self, tmp_path):
         a = tmp_path / "a.csv"
         y = tmp_path / "y.csv"
@@ -130,6 +135,28 @@ class TestNormalize:
         mask = np.array([[1, 1], [1, 1], [0, 1]])
         out = normalize(MultiViewDataset(views=views, mask=mask))
         np.testing.assert_allclose(out.views[0][:2].ravel(), [0.0, 1.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observed_cell_rejected(self, value):
+        views = [np.zeros((4, 2)), np.arange(12.0).reshape(4, 3)]
+        views[1][2, 1] = value
+        mask = np.array([[1, 1], [1, 0], [1, 1], [0, 1]])
+        with pytest.raises(ValueError, match=(
+                rf"view 1: observed cell \(sample 2, column 1\) is {value}")):
+            normalize(MultiViewDataset(views=views, mask=mask))
+
+    def test_non_finite_unobserved_cells_ignored(self):
+        rng = np.random.default_rng(3)
+        views = [rng.normal(size=(6, 2)), rng.normal(size=(6, 3))]
+        mask = np.array([[1, 1], [0, 1], [1, 0], [1, 1], [1, 0], [0, 1]])
+        poisoned = [X.copy() for X in views]
+        for v, X in enumerate(poisoned):
+            X[mask[:, v] == 0] = (np.nan, np.inf)[v]
+        finite = normalize(MultiViewDataset(views=views, mask=mask))
+        out = normalize(MultiViewDataset(views=poisoned, mask=mask))
+        for v, (a, b) in enumerate(zip(finite.views, out.views)):
+            obs = mask[:, v] == 1
+            np.testing.assert_array_equal(a[obs], b[obs])
 
 
 class TestGenerateMask:

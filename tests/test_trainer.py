@@ -4,7 +4,7 @@ import pytest
 from imvc import model as M
 from imvc import trainer
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic, normalize
-from imvc.model import VAR_MIN, DmgmmModel, encode_all, load_model
+from imvc.model import VAR_MIN, DmgmmModel
 from imvc.trainer import TrainConfig, fit, init_prior, kmeans_pp, pretrain
 from oracles import AdamPerArray, pretrain_reference
 
@@ -36,12 +36,11 @@ def quick_config(seed=0, **kw):
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
-        "bad", [dict(log_every=0), dict(batch_size=-1), dict(checkpoint_every=-1),
-                dict(d_z=0), dict(train_lr=0.0), dict(pretrain_lr=-1e-3),
-                dict(hidden=(16, 0)), dict(alpha=np.nan), dict(alpha=np.inf),
+        "bad", [dict(log_every=0), dict(batch_size=-1), dict(d_z=0),
+                dict(train_lr=0.0), dict(pretrain_lr=-1e-3), dict(hidden=(16, 0)), dict(alpha=np.nan), dict(alpha=np.inf),
                 dict(train_lr=np.inf), dict(pretrain_lr=np.inf), dict(train_lr=np.nan),
                 dict(n_neighbors=0), dict(n_neighbors=2.5)],
-        ids=["log_every", "batch_size", "checkpoint_every", "d_z", "train_lr",
+        ids=["log_every", "batch_size", "d_z", "train_lr",
              "pretrain_lr", "hidden", "alpha_nan", "alpha_inf", "train_lr_inf",
              "pretrain_lr_inf", "train_lr_nan", "n_neighbors", "n_neighbors_float"],
     )
@@ -66,6 +65,10 @@ class TestKmeans:
     def test_more_clusters_than_points(self):
         with pytest.raises(ValueError):
             kmeans_pp(np.zeros((3, 2)), 5, seed=0)
+
+    def test_no_clusters(self):
+        with pytest.raises(ValueError, match="cannot place 0 clusters"):
+            kmeans_pp(np.zeros((3, 2)), 0, seed=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -264,16 +267,6 @@ class TestFit:
             assert np.isfinite(res.history[-1]["total"])
             assert np.isfinite(res.gamma).all()
 
-    def test_periodic_checkpoints(self, tmp_path):
-        ds = masked_synthetic(16)
-        res = fit(ds, quick_config(seed=5, train_epochs=2, checkpoint_every=1),
-                  checkpoint_dir=tmp_path)
-        assert (tmp_path / "checkpoint_1.json").exists()
-        last = load_model(tmp_path / "checkpoint_2.json")
-        for a, b in zip(encode_all(last, ds), encode_all(res.model, ds)):
-            np.testing.assert_array_equal(a.mu, b.mu)
-            np.testing.assert_array_equal(a.var, b.var)
-
     def test_missing_K_raises(self):
         ds = masked_synthetic(13)
         ds = MultiViewDataset(views=ds.views, mask=ds.mask)  # drop labels/K
@@ -386,6 +379,50 @@ class TestDivergence:
         # three retries, each from the finite snapshot at half the lr
         lr = config.train_lr
         assert starts == [(lr, True), (lr / 2, True), (lr / 4, True), (lr / 8, True)]
+
+
+class TestOneImputationPerState:
+    """``impute_all`` runs once per parameter state: before the first epoch
+    and after each epoch. The next epoch's loss, the logged eval, the final
+    assignments and a retried epoch all read that one result."""
+
+    @pytest.mark.parametrize("poisoned_step", [None, 3], ids=["clean", "retried"])
+    def test_calls(self, monkeypatch, poisoned_step):
+        real_build, real_step, real_impute = (
+            trainer.build_pretrained, trainer.Adam.step, M.impute_all)
+        trained = []  # the model, once pretraining is over
+        lrs = []  # the learning rate of each training step
+        calls = []
+
+        def build_pretrained(*args, **kwargs):
+            out = real_build(*args, **kwargs)
+            trained.append(out[0])
+            return out
+
+        def step(self, params, grads):
+            real_step(self, params, grads)
+            if trained:
+                lrs.append(self.lr)
+                if len(lrs) == poisoned_step:
+                    nan_weight(trained[0])
+
+        def impute_all(*args, **kwargs):
+            calls.append(None)
+            return real_impute(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "build_pretrained", build_pretrained)
+        monkeypatch.setattr(trainer.Adam, "step", step)
+        monkeypatch.setattr(M, "impute_all", impute_all)
+        config = quick_config(seed=14, log_every=1)
+        res = fit(masked_synthetic(19), config)
+        assert all("acc" in entry for entry in res.history)  # every epoch logged
+        lr = config.train_lr
+        if poisoned_step is None:
+            assert lrs == [lr] * config.train_epochs
+        else:  # the poisoned step's epoch was retried at half the lr
+            assert lrs[:poisoned_step + 1] == [lr] * poisoned_step + [lr / 2]
+            assert len(lrs) == config.train_epochs + 1
+        assert len(calls) == config.train_epochs + 1
 
 
 class TestEpochHistory:
