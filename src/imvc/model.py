@@ -303,9 +303,41 @@ def check_neighbors(k, name="k"):
                          f"got {k!r}")
 
 
-# squared feature norms below this keep every GEMM-form value finite; a
-# block with a larger (or NaN) norm re-ranks every donor
+# squared row norms below this keep every GEMM-form value finite
 _SQ_MAX = np.finfo(np.float64).max / 8
+
+
+def gemm_sq_distances(A, sq_a, B, sq_b):
+    """GEMM estimate of the squared distances between the rows of A and B.
+
+    ``sq_a`` and ``sq_b`` are the rows' squared norms, ``(X * X).sum(axis=1)``.
+    Returns ``(approx, tol)``: approx[i, j] = |a_i|^2 + |b_j|^2 - 2 a_i.b_j,
+    and tol[i] the rounding margin of row i, derived below. Returns None
+    when a squared norm is non-finite or not below ``_SQ_MAX``; the caller
+    then takes its exact pass over every row.
+
+    With m features, u = eps / 2 and n = |a|^2 + |b|^2: the GEMM form is
+    within (2m + 4) u n of the true squared distance T (the squared norms
+    within m u of theirs, the dot product within m u n / 2, and two adds
+    of values up to 2n). An exact kernel that sums the m squared
+    differences in any order (``scoring.view_distances``, ``w2_distance``)
+    is within (m + 2) u T <= (2m + 4) u n of T. Two values whose rounded
+    square roots are equal lie within 8 u n of each other. tol is twice the
+    sum of these three, with n taken at the row's norm plus the largest
+    column norm, plus twice the up to 4m underflows of half the smallest
+    subnormal that the products can add. So approx and the exact kernel
+    differ by less than tol / 2 on every pair of the row.
+    """
+    if not ((sq_a < _SQ_MAX).all() and (sq_b < _SQ_MAX).all()):
+        return None
+    approx = A @ B.T
+    approx *= -2.0
+    approx += sq_a[:, None]
+    approx += sq_b
+    m = A.shape[1]
+    tol = (4 * m + 16) * np.finfo(np.float64).eps * (sq_a + sq_b.max())
+    tol += 4 * m * np.finfo(np.float64).smallest_subnormal
+    return approx, tol
 
 
 def _nearest_donors(agg, feats, sq, q, donors, k):
@@ -321,31 +353,21 @@ def _nearest_donors(agg, feats, sq, q, donors, k):
     are re-ranked with ``w2_distance``.
     """
     fd, sq_d = feats[donors], sq[donors]
-    usable = k < donors.size and bool((sq_d < _SQ_MAX).all())
-    # Candidate margin. With u = eps/2, m = 2*d_z features and
-    # n = |f_q|^2 + |f_d|^2, the GEMM form is within (2m + 4) u n of the
-    # true W2^2, and the sum of squares inside w2_distance within
-    # (m + 6) u n; a donor whose w2_distance rounds equal to a smaller
-    # one's lies at most 8 u n above it. tol = tol_scale * n is twice the
-    # sum of these, with n taken at the row's largest donor norm. The k
-    # donors with the smallest approximate values have exact values within
-    # tol of them, so the k-th exact value is at most the k-th approximate
-    # one + tol, and every donor of the stable top k has an approximate
-    # value of at most the k-th one + 2 tol.
-    tol_scale = (3 * feats.shape[1] + 18) * np.finfo(np.float64).eps
     nb = np.empty((q.size, k), dtype=np.int64)
     dist = np.empty((q.size, k))
     for lo in range(0, q.size, QUERY_BLOCK):
         qb = q[lo:lo + QUERY_BLOCK]
         cand = np.broadcast_to(donors, (qb.size, donors.size))
-        if usable and (sq[qb] < _SQ_MAX).all():
-            approx = feats[qb] @ fd.T
-            approx *= -2.0
-            approx += sq[qb][:, None]
-            approx += sq_d
+        screen = gemm_sq_distances(feats[qb], sq[qb], fd, sq_d) if k < donors.size else None
+        if screen is not None:
+            # The k donors with the smallest approximate values have exact
+            # values within tol / 2 of them, so the k-th exact value is at
+            # most the k-th approximate one + tol / 2, and every donor of
+            # the stable top k (a tie of rounded distances included) has
+            # an approximate value of at most the k-th one + tol.
+            approx, tol = screen
             part = np.argpartition(approx, k - 1, axis=1)
-            bound = approx[np.arange(qb.size), part[:, k - 1]]
-            bound += 2.0 * tol_scale * (sq[qb] + sq_d.max())
+            bound = approx[np.arange(qb.size), part[:, k - 1]] + tol
             c = int((approx <= bound[:, None]).sum(axis=1).max())
             if c < donors.size:
                 if c > k:

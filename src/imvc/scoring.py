@@ -24,7 +24,15 @@ the score, with shared[j,u] marking views that both i and j observe, is
     Info(i, v) = sum_{j in support} ( sim_ij^v + sum_{u != v} sim_ij^u
                                       * corr[u,v] * shared[j,u] ).
 
-Positions are then selected by keeping the top fraction of scores.
+For a query i and a donor j, shared[j, :] depends only on the two
+samples' observation patterns (the sets of views they observe), so
+``info_scores`` works per pair of patterns: each shared view gives one
+dense block of similarities, computed by the exact kernel
+``view_distances``, and a pair that shares no view holds no support member
+and is skipped. ``max_view_distance`` finds D_max(u) by letting a GEMM
+pre-filter choose the candidate rows and taking the exact maximum of
+``view_distances`` over those. Positions are then selected by keeping the
+top fraction of scores.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QUERY_BLOCK
+from .model import QUERY_BLOCK, gemm_sq_distances
 
 CORR_FLOOR = 1e-3
 CCA_RIDGE = 1e-4
@@ -90,13 +98,40 @@ def view_distances(dataset, u, rows, cols):
 def max_view_distance(dataset, u):
     """d_max of view u: the largest distance between two samples observing it.
 
-    One pass of ``view_distances`` over blocks of ``QUERY_BLOCK`` rows, each
-    against itself and the later rows, equals the dense matrix's maximum
-    because the kernel is symmetric and block-invariant.
+    A GEMM pre-filter (``model.gemm_sq_distances`` over the upper triangle,
+    in blocks of ``QUERY_BLOCK`` rows) only chooses candidate rows: those
+    whose largest approximate squared distance is within its rounding
+    margin of the overall largest. Every value comes from one blocked pass
+    of ``view_distances`` over the candidates, each row block against
+    itself and the later rows; its maximum equals the dense matrix's,
+    because both rows of a pair attaining it are candidates and the kernel
+    is symmetric and block-invariant. When a squared norm fails the
+    filter's guard, the pass runs over every observer.
     """
     obs = dataset.observed(u)
     if obs.size < 2:
         raise ValueError(f"view {u} needs at least 2 observed samples, has {obs.size}")
+    X = dataset.views[u][obs]
+    sq = (X * X).sum(axis=1)
+    # top[i]: the largest approximate squared distance of row i, from the
+    # blocks of the upper triangle (its row and its column)
+    top = np.full(obs.size, -np.inf)
+    margin = 0.0
+    for lo in range(0, obs.size, QUERY_BLOCK):
+        hi = lo + QUERY_BLOCK
+        screen = gemm_sq_distances(X[lo:hi], sq[lo:hi], X[lo:], sq[lo:])
+        if screen is None:
+            break
+        approx, tol = screen
+        np.maximum(top[lo:hi], approx.max(axis=1), out=top[lo:hi])
+        np.maximum(top[lo:], approx.max(axis=0), out=top[lo:])
+        margin = max(margin, float(tol.max()))
+    else:
+        # A pair (i, j) attaining the exact maximum has an approximate
+        # value within margin / 2 of it, and the pair attaining top.max()
+        # an exact value within margin / 2 of that, so top[i] and top[j]
+        # are both at least top.max() - margin.
+        obs = obs[top >= top.max() - margin]
     return float(np.max([view_distances(dataset, u, obs[lo:lo + QUERY_BLOCK], obs[lo:]).max()
                          for lo in range(0, obs.size, QUERY_BLOCK)]))
 
@@ -158,18 +193,27 @@ def info_scores(dataset, corr):
     """Score every missing position under the V x V view correlations
     ``corr``; returns an InfoTable with nothing selected yet.
 
-    The similarities are streamed by query block from ``view_distances``
-    and each view's ``max_view_distance``, so no N x N array is built.
-    Empty support sets score 0.
+    ``corr`` needs a unit diagonal and finite, non-negative off-diagonal
+    entries; anything else raises ValueError.
 
-    Each target view v is scored over blocks of the samples missing it,
-    against every sample observing it; a block holds at most
-    ``model.QUERY_BLOCK * N`` (donor, view) terms. Every sum (a member's
-    numerator and denominator, a position's total) is the correctly
-    rounded sum of ``_fsum_rows``, so each score equals, bit for bit,
-    ``math.fsum`` of its terms, whatever the traversal order.
+    Each target view v is scored per pair of observation patterns (the set
+    of views a sample observes): P of a block of querying samples, which
+    miss v, and Q of a group of donors, which observe it. The shared views
+    S = P & Q are the same for every query and donor of the pair, so each
+    u in S gives one dense block of cross terms ``(1 - d / d_max)^2 *
+    corr[u, v]``, with d from ``view_distances`` and d_max from
+    ``max_view_distance``. A member's intra term is the sum of its |S|
+    cross terms over the pair's one denominator, the sum of corr[S, v]. A
+    pattern pair with no shared view holds no support member and adds
+    nothing, so an empty support set scores 0. Only these terms are
+    summed, and a block holds at most ``model.QUERY_BLOCK * N`` of them, so
+    no N x N array is built.
+
+    Every sum (a member's numerator and denominator, a position's total)
+    is the correctly rounded sum of ``_fsum_rows`` or ``math.fsum``, so
+    each score equals, bit for bit, ``math.fsum`` of its terms, whatever
+    the traversal order.
     """
-    mask = dataset.mask
     V = dataset.n_views
     n = dataset.n_samples
     corr = np.asarray(corr, dtype=np.float64)
@@ -177,45 +221,65 @@ def info_scores(dataset, corr):
         raise ValueError(f"correlation matrix must be {V} x {V}, got shape {corr.shape}")
     if not np.array_equal(np.diag(corr), np.ones(V)):
         raise ValueError("correlation matrix must have a unit diagonal")
+    off = corr[~np.eye(V, dtype=bool)]
+    if not (np.isfinite(off) & (off >= 0.0)).all():
+        raise ValueError("correlation matrix must have finite, non-negative "
+                         "off-diagonal entries")
     d_max = [max_view_distance(dataset, u) for u in range(V)]
 
     positions = np.asarray(dataset.missing_positions(), dtype=np.int64).reshape(-1, 2)
     scores = np.zeros(len(positions))
     index = np.zeros((n, V), dtype=np.int64)
     index[positions[:, 0], positions[:, 1]] = np.arange(len(positions))
-    maskb = mask.astype(bool)
+    maskb = dataset.mask.astype(bool)
+    kinds, pattern = np.unique(maskb, axis=0, return_inverse=True)
+    pattern = pattern.ravel()
     for v in range(V):
         donors = np.flatnonzero(maskb[:, v])
         queries = np.flatnonzero(~maskb[:, v])
         if donors.size == 0:
             continue
-        # a block holds (rows, V, donors) terms: rows of the score sums
-        # are contiguous, and the per-member sums run over axis 1
+        # a pattern pair gives |S| + 1 terms per (query, donor) and
+        # |S| < V, so a block of `step` queries holds < step * V * donors
         step = max(1, QUERY_BLOCK * n // (V * donors.size))
-        observes = np.ascontiguousarray(maskb[donors].T)
-        observers = [np.flatnonzero(o) for o in observes]
-        for lo in range(0, queries.size, step):
-            qb = queries[lo:lo + step]
-            shared = maskb[qb][:, :, None] & observes  # [:, v] is False
-            member = shared.any(axis=1)
-            # (1 - d / d_max)^2 corr[u, v] on the pairs observing u, 0 in
-            # every other cell, so a non-member's terms are all 0
-            cross = np.zeros(shared.shape)
-            for u, b in enumerate(observers):
-                a = np.flatnonzero(maskb[qb, u])  # empty for u = v
-                d = view_distances(dataset, u, qb[a], donors[b])
-                sim = np.ones_like(d) if d_max[u] == 0.0 else (1.0 - d / d_max[u]) ** 2
-                cross[:, u][np.ix_(a, b)] = sim * corr[u, v]
-            num = _fsum_rows(cross.transpose(0, 2, 1))
-            den = _fsum_rows((corr[:, v, None] * shared).transpose(0, 2, 1))
-            # intra term: corr-weighted mean, corr[v,v] = 1
-            np.divide(num, den, out=cross[:, v], where=member)
-            scores[index[qb, v]] = _fsum_rows(cross.reshape(qb.size, -1))
+        groups = [(kinds[q], donors[pattern[donors] == q])
+                  for q in np.unique(pattern[donors]).tolist()]
+        for p in np.unique(pattern[queries]).tolist():
+            # the donor groups sharing views with pattern p: members, S and
+            # the intra terms' denominator
+            pairs = [(members, S, math.fsum(corr[S, v].tolist()))
+                     for kind, members in groups
+                     if (S := np.flatnonzero(kinds[p] & kind)).size]
+            if not pairs:
+                continue
+            qp = queries[pattern[queries] == p]
+            for lo in range(0, qp.size, step):
+                qb = qp[lo:lo + step]
+                terms = []
+                for members, S, den in pairs:
+                    cross = [_similarity(dataset, u, qb, members, d_max[u], corr[u, v])
+                             for u in S]
+                    terms += cross
+                    terms.append(_fsum_rows(np.stack(cross, axis=-1)) / den)
+                scores[index[qb, v]] = _fsum_rows(np.hstack(terms))
     return InfoTable(
         positions=positions,
         scores=scores,
         selected=np.zeros(len(positions), dtype=bool),
     )
+
+
+def _similarity(dataset, u, rows, cols, d_max, c):
+    """(1 - d / d_max)^2 * c over view u's distances d from rows to cols."""
+    sim = view_distances(dataset, u, rows, cols)
+    if d_max == 0.0:
+        sim.fill(1.0)
+    else:
+        sim /= d_max
+        np.subtract(1.0, sim, out=sim)
+        np.square(sim, out=sim)
+    sim *= c
+    return sim
 
 
 def _fsum_rows(A):

@@ -342,11 +342,15 @@ def fit(dataset, config, selective_imputation=True):
     the code path is otherwise identical, so gate-closed runs reproduce
     the imputation-free variant bit for bit. The selected positions are
     imputed once per parameter state: the next epoch's loss, the logged
-    eval and the final assignments all read the same experts.
+    eval and the final assignments all read the same experts. A missing
+    cluster count, or one above the sample count, raises ValueError before
+    any training.
     """
     K = dataset.K
     if K is None:
         raise ValueError("dataset has no cluster count; set K")
+    if K > dataset.n_samples:
+        raise ValueError(f"cannot place {K} clusters on {dataset.n_samples} samples")
     model, latents, pre_losses = build_pretrained(dataset, config, K)
 
     posts = M.encode_all(model, dataset)

@@ -386,6 +386,25 @@ class TestExitCodes:
         assert rc == 1
         assert "cluster count must be at least 1, got 0" in capsys.readouterr().err
 
+    def test_more_clusters_than_samples_exits_1_before_training(self, tmp_path,
+                                                                monkeypatch, capsys):
+        data = tmp_path / "d"
+        assert main(["gen-data", "--out-dir", str(data), "--samples", "30",
+                     "--clusters", "2", "--dims", "3,2", "--seed", "1"]) == 0
+        calls = []
+        pretrain = imvc.trainer.pretrain
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return pretrain(*args, **kw)
+
+        monkeypatch.setattr(imvc.trainer, "pretrain", counted)
+        rc = main(["fit", "--views", f"{data}/view0.csv,{data}/view1.csv",
+                   "--clusters", "50", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "cannot place 50 clusters on 30 samples" in capsys.readouterr().err
+        assert calls == []
+
     def test_non_finite_observed_cell_exits_1(self, tmp_path, capsys):
         data = tmp_path / "d"
         assert main(["gen-data", "--out-dir", str(data), "--samples", "30",

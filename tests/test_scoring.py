@@ -7,7 +7,7 @@ import pytest
 
 from imvc import scoring
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic
-from imvc.model import QUERY_BLOCK
+from imvc.model import _SQ_MAX, QUERY_BLOCK, gemm_sq_distances
 from imvc.scoring import (
     CORR_FLOOR,
     _fsum_rows,
@@ -282,6 +282,72 @@ class TestViewDistances:
                 assert max_view_distance(ds, 0) == dense
 
 
+class TestMaxPrefilter:
+    """``max_view_distance`` lets a GEMM choose candidate rows; its value must
+    still equal the dense maximum of ``view_distances`` at every block size."""
+
+    @staticmethod
+    def check(monkeypatch, X):
+        """Asserts the dense maximum at every block size; returns the rows
+        the exact pass saw at the default block size."""
+        ds = MultiViewDataset(views=[X], mask=np.ones((X.shape[0], 1), dtype=int))
+        obs = ds.observed(0)
+        dense = view_distances(ds, 0, obs, obs).max()
+        seen = []
+
+        def spy(dataset, u, rows, cols):
+            seen.append(np.asarray(rows))
+            return view_distances(dataset, u, rows, cols)
+
+        monkeypatch.setattr(scoring, "view_distances", spy)
+        for block in (1, 2, 5, QUERY_BLOCK):
+            monkeypatch.setattr(scoring, "QUERY_BLOCK", block)
+            seen.clear()
+            assert max_view_distance(ds, 0) == dense, block
+        return np.concatenate(seen)
+
+    def test_tied_farthest_pairs(self, monkeypatch):
+        # the corners of a square, each held by several samples, tie as the
+        # farthest pairs (both diagonals); the other points lie inside
+        rng = np.random.default_rng(0)
+        corners = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]])
+        X = np.vstack([np.repeat(corners, 3, axis=0), rng.uniform(0.5, 2.5, size=(300, 2))])
+        X = X[rng.permutation(X.shape[0])]
+        rows = self.check(monkeypatch, X)
+        # the filter keeps the 12 corner samples only
+        assert np.unique(rows).size == 12
+        assert np.all(np.isin(X[rows], corners).all(axis=1))
+
+    def test_large_offset_widens_candidates(self, monkeypatch):
+        # at 1e8 the GEMM form cancels: its margin is about 400, against
+        # squared distances of at most 1e-4, so every row stays a candidate
+        rng = np.random.default_rng(1)
+        X = 1e8 + rng.normal(size=(300, 3)) * 1e-3
+        rows = self.check(monkeypatch, X)
+        assert np.unique(rows).size == 300
+
+    @pytest.mark.parametrize("at_guard", [True, False])
+    def test_norm_guard_takes_exact_pass(self, monkeypatch, at_guard):
+        # one row's squared norm is exactly _SQ_MAX, or above it: the
+        # filter is skipped and the exact pass sees every row
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(40, 2))
+        big = 2.0 ** 510
+        X[7] = [big, np.nextafter(big, 0.0)] if at_guard else [2 * big, 0.0]
+        sq = (X * X).sum(axis=1)[7]
+        assert sq == _SQ_MAX if at_guard else sq > _SQ_MAX
+        screens = []
+
+        def screen(*args):
+            screens.append(gemm_sq_distances(*args))
+            return screens[-1]
+
+        monkeypatch.setattr(scoring, "gemm_sq_distances", screen)
+        rows = self.check(monkeypatch, X)
+        assert screens and all(s is None for s in screens)
+        assert np.unique(rows).size == 40
+
+
 class TestCca:
     def test_identical_matrices(self):
         rng = np.random.default_rng(5)
@@ -507,6 +573,42 @@ class TestInfoScores:
             info_scores(ds, corr=wide)
         with pytest.raises(ValueError, match="correlation matrix must be 3 x 3"):
             info_scores(ds, corr=np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
+    def test_corr_off_diagonal_must_be_finite_non_negative(self, bad):
+        ds = random_incomplete(3, V=3)
+        corr = np.full((3, 3), 0.5)
+        np.fill_diagonal(corr, 1.0)
+        corr[2, 0] = bad
+        with pytest.raises(ValueError, match="finite, non-negative off-diagonal"):
+            info_scores(ds, corr=corr)
+
+    def test_every_pattern_of_five_views(self, monkeypatch):
+        # all 31 observation patterns of V = 5, each held by 2-4 samples:
+        # many (query, donor) pattern pairs share no view, e.g. {0} and {1}
+        rng = np.random.default_rng(11)
+        kinds = np.array([[p >> u & 1 for u in range(5)] for p in range(1, 32)])
+        mask = np.repeat(kinds, rng.integers(2, 5, size=31), axis=0)
+        n = mask.shape[0]
+        views = [rng.normal(size=(n, d)) for d in (3, 1, 2, 4, 2)]
+        ds = MultiViewDataset(views, mask[rng.permutation(n)])
+        corr = random_corr(rng, 5)
+        assert np.unique(ds.mask, axis=0).shape[0] == 31
+        scores = assert_per_position_scores(ds, corr)
+        assert np.all(scores > 0)
+
+        # with small blocks, one query pattern spans several blocks: the
+        # pattern of samples that observe views 0 and 1 only (view 4's
+        # querying samples of that pattern outnumber a block)
+        mask = np.vstack([kinds, np.tile([[1, 1, 0, 0, 0]], (12, 1)), kinds])
+        n = mask.shape[0]
+        views = [rng.normal(size=(n, d)) for d in (3, 1, 2, 4, 2)]
+        ds = MultiViewDataset(views, mask)
+        for block in (1, 2, 5):
+            monkeypatch.setattr(scoring, "QUERY_BLOCK", block)
+            step = max(1, block * n // (5 * ds.observed(4).size))
+            assert step < 14
+            assert_per_position_scores(ds, corr)
 
     def test_monotone_in_support(self):
         # adding a support sample never decreases the score. In view 0,

@@ -273,6 +273,17 @@ class TestFit:
         with pytest.raises(ValueError, match="cluster count"):
             fit(ds, quick_config())
 
+    def test_more_clusters_than_samples_raises_before_pretraining(self, monkeypatch):
+        ds = masked_synthetic(13, n=20)
+        ds = MultiViewDataset(views=ds.views, mask=ds.mask, K=21)
+
+        def no_training(*args, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "pretrain", no_training)
+        with pytest.raises(ValueError, match="cannot place 21 clusters on 20 samples"):
+            fit(ds, quick_config())
+
     def test_bernoulli_range_validated(self):
         ds = masked_synthetic(14)
         views = [X.copy() for X in ds.views]
