@@ -387,8 +387,10 @@ def cmd_sweep(cfg):
             for alpha in alphas:
                 for seed in range(runs):
                     key = (f"{eta:g}", f"{rho:g}", f"{alpha:g}", str(seed))
+                    # done grows with every queued cell, so a grid value given twice runs once
                     if key in done:
                         continue
+                    done.add(key)
                     tc = dataclasses.replace(
                         tc_base, selection_ratio=rho, alpha=alpha, seed=seed
                     )

@@ -200,13 +200,13 @@ def generate_mask(N, V, spec):
     if probs.shape != (V,):
         raise ValueError(f"need {V} per-view probabilities, got {probs.shape}")
     eta = float(spec.target_rate)
+    if eta == 0.0:
+        return np.ones((N, V), dtype=np.int8)
     if eta >= 1.0 - 1.0 / V:
         raise ValueError(
             f"target rate {eta} is infeasible with {V} views "
             f"(every sample keeps one view, so the rate is capped below {1 - 1 / V:.3f})"
         )
-    if eta == 0.0:
-        return np.ones((N, V), dtype=np.int8)
     mean = probs.mean()
     if mean == 0.0:
         probs = np.full(V, eta)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_open
-from .nn import SIGMA_MIN, Mlp, copy_checked, sigmoid, softplus
+from .nn import SIGMA_MIN, Mlp, sigmoid, softplus
 
 VAR_MIN = SIGMA_MIN**2
 
@@ -113,33 +113,15 @@ class DmgmmModel:
     per-view posterior variance is sigma^2 >= SIGMA_MIN^2). Gaussian
     decoders emit [mean | sigma]; Bernoulli decoders emit logits. The
     mixture is parameterized unconstrained: pi = softmax(pi_logits),
-    var_k = softplus(var_rho) + VAR_MIN.
+    var_k = softplus(var_rho) + VAR_MIN. Models come from ``build``, which
+    checks its arguments; ``__init__`` takes the networks as given.
     """
 
     def __init__(self, encoders, decoders, likelihoods, d_z, K, seed=0):
         self.encoders = list(encoders)
         self.decoders = list(decoders)
         self.likelihoods = list(likelihoods)
-        for lk in self.likelihoods:
-            if lk not in LIKELIHOODS:
-                raise ValueError(f"unknown likelihood {lk!r}")
-        if not len(self.encoders) == len(self.decoders) == len(self.likelihoods):
-            raise ValueError(
-                f"{len(self.encoders)} encoders, {len(self.decoders)} decoders and "
-                f"{len(self.likelihoods)} likelihoods disagree"
-            )
         self.d_z = int(d_z)
-        for v, (enc, dec, lk) in enumerate(zip(self.encoders, self.decoders, self.likelihoods)):
-            if enc.layer_dims[-1] != 2 * self.d_z or dec.layer_dims[0] != self.d_z:
-                raise ValueError(
-                    f"d_z {self.d_z} disagrees with view {v}'s networks (encoder "
-                    f"output {enc.layer_dims[-1]}, decoder input {dec.layer_dims[0]})"
-                )
-            # a Gaussian decoder emits [mean | sigma], a Bernoulli one logits
-            width = enc.layer_dims[0] * (2 if lk == "gaussian" else 1)
-            if dec.layer_dims[-1] != width:
-                raise ValueError(f"view {v}'s {lk} decoder has output width "
-                                 f"{dec.layer_dims[-1]}, expected {width}")
         self.K = int(K)
         rng = np.random.default_rng(seed)
         self.pi_logits = np.zeros(K)
@@ -148,30 +130,29 @@ class DmgmmModel:
 
     @classmethod
     def build(cls, view_dims, K, d_z=10, hidden=(256, 64), likelihoods=None, seed=0):
-        """Symmetric architecture: d_v -> hidden -> 2*d_z and mirrored back."""
+        """Symmetric architecture: d_v -> hidden -> 2*d_z and mirrored back.
+
+        ``likelihoods`` names one of ``LIKELIHOODS`` per view (all Gaussian
+        by default); a wrong count or an unknown name raises ValueError.
+        """
         if likelihoods is None:
             likelihoods = ["gaussian"] * len(view_dims)
+        if len(likelihoods) != len(view_dims):
+            raise ValueError(f"{len(likelihoods)} likelihoods given for {len(view_dims)} views")
+        for lk in likelihoods:
+            if lk not in LIKELIHOODS:
+                raise ValueError(f"unknown likelihood {lk!r}")
         encoders, decoders = [], []
         for v, d_v in enumerate(view_dims):
-            enc = Mlp(
-                [d_v, *hidden, 2 * d_z],
-                heads=(("identity", d_z), ("softplus", d_z)),
-                seed=seed * 1000 + 2 * v,
-            )
-            if likelihoods[v] == "gaussian":
-                dec = Mlp(
-                    [d_z, *reversed(hidden), 2 * d_v],
-                    heads=(("identity", d_v), ("softplus", d_v)),
-                    seed=seed * 1000 + 2 * v + 1,
-                )
-            else:
-                dec = Mlp(
-                    [d_z, *reversed(hidden), d_v],
-                    heads=(("identity", d_v),),
-                    seed=seed * 1000 + 2 * v + 1,
-                )
-            encoders.append(enc)
-            decoders.append(dec)
+            encoders.append(Mlp([d_v, *hidden, 2 * d_z],
+                                heads=(("identity", d_z), ("softplus", d_z)),
+                                seed=seed * 1000 + 2 * v))
+            # a Gaussian decoder emits [mean | sigma], a Bernoulli one logits
+            heads = (("identity", d_v), ("softplus", d_v))
+            if likelihoods[v] == "bernoulli":
+                heads = heads[:1]
+            decoders.append(Mlp([d_z, *reversed(hidden), d_v * len(heads)], heads=heads,
+                                seed=seed * 1000 + 2 * v + 1))
         return cls(encoders, decoders, likelihoods, d_z=d_z, K=K, seed=seed)
 
     @property
@@ -190,8 +171,20 @@ class DmgmmModel:
         return [p.copy() for p in self.parameters()]
 
     def load_params(self, saved):
-        for p, s in zip(self.parameters(), saved):
-            p[...] = s
+        """Copy ``saved``, one array (or nested list) per entry of
+        ``parameters()`` in that order, into the live parameters. Nothing
+        is written unless the count and every shape match; otherwise
+        ValueError names the count or the first bad ``parameters[i]``.
+        """
+        params = self.parameters()
+        if len(saved) != len(params):
+            raise ValueError(f"{len(saved)} parameter arrays given, expected {len(params)}")
+        arrays = [np.asarray(s, dtype=np.float64) for s in saved]
+        for i, (p, a) in enumerate(zip(params, arrays)):
+            if a.shape != p.shape:
+                raise ValueError(f"parameters[{i}] has shape {a.shape}, expected {p.shape}")
+        for p, a in zip(params, arrays):
+            p[...] = a
 
     @property
     def pi(self):
@@ -692,38 +685,38 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
     return terms, grads
 
 
-MODEL_MAGIC = "imvc-model-v1"
+MODEL_MAGIC = "imvc-model-v2"
 
 
 def save_model(model, path):
-    """Versioned JSON checkpoint: networks, likelihoods, mixture parameters."""
+    """Versioned JSON checkpoint: ``DmgmmModel.build``'s arguments, then
+    every array of ``model.parameters()`` as a nested list, in that order
+    (Adam's moment order). JSON floats round-trip bit for bit."""
+    dims = [enc.layer_dims for enc in model.encoders]
     payload = {
         "magic": MODEL_MAGIC,
-        "d_z": model.d_z,
+        "view_dims": [d[0] for d in dims],
         "K": model.K,
+        "d_z": model.d_z,
+        "hidden": dims[0][1:-1],
         "likelihoods": model.likelihoods,
-        "encoders": [net.to_dict() for net in model.encoders],
-        "decoders": [net.to_dict() for net in model.decoders],
-        "pi_logits": model.pi_logits.tolist(),
-        "prior_mu": model.prior_mu.tolist(),
-        "prior_rho": model.prior_rho.tolist(),
+        "parameters": [p.tolist() for p in model.parameters()],
     }
     with atomic_open(path) as fh:
         json.dump(payload, fh)
 
 
 def load_model(path):
+    """The model of a ``save_model`` checkpoint, rebuilt by ``build`` and
+    filled by ``load_params``; either raises ValueError on a header or an
+    array that does not fit, and so does a wrong magic string."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("magic") != MODEL_MAGIC:
         raise ValueError(f"not a {MODEL_MAGIC} checkpoint: {path}")
-    model = DmgmmModel(
-        encoders=[Mlp.from_dict(d) for d in payload["encoders"]],
-        decoders=[Mlp.from_dict(d) for d in payload["decoders"]],
-        likelihoods=payload["likelihoods"],
-        d_z=payload["d_z"],
-        K=payload["K"],
+    model = DmgmmModel.build(
+        payload["view_dims"], payload["K"], d_z=payload["d_z"],
+        hidden=payload["hidden"], likelihoods=payload["likelihoods"],
     )
-    for name in ("pi_logits", "prior_mu", "prior_rho"):
-        copy_checked(getattr(model, name), payload[name], name)
+    model.load_params(payload["parameters"])
     return model

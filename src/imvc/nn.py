@@ -12,8 +12,9 @@ Forward passes cache what backward needs; backward returns gradients in
 the same flat order as ``Mlp.parameters()``. Each pass is a trunk (the
 ReLU layers and the final linear map, ``trunk_forward``/``trunk_backward``)
 plus the heads (``apply_heads`` and its slope), so a caller that reads only
-identity-head columns can run the trunk alone. ``to_dict``/``from_dict``
-serialize a network for the model checkpoint of ``model.save_model``.
+identity-head columns can run the trunk alone. Networks have no file
+format of their own: ``model.save_model`` writes a model's networks as
+part of ``DmgmmModel.parameters()``.
 """
 
 from __future__ import annotations
@@ -42,15 +43,6 @@ def sigmoid(x):
     # side of zero, so the result equals the per-sign masked evaluation
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def copy_checked(dst, src, name):
-    """Copy ``src`` into the array ``dst`` in place; ``src`` must have
-    exactly ``dst``'s shape, or a ValueError names the field ``name``."""
-    src = np.asarray(src, dtype=np.float64)
-    if src.shape != dst.shape:
-        raise ValueError(f"{name} has shape {src.shape}, expected {dst.shape}")
-    dst[...] = src
 
 
 class Mlp:
@@ -172,26 +164,6 @@ class Mlp:
         for sl in self._softplus_slices:
             da[:, sl] *= sigmoid(a_out[:, sl])
         return self.trunk_backward(inputs, da, input_grad)
-
-    def to_dict(self):
-        return {
-            "layer_dims": self.layer_dims,
-            "heads": [list(h) for h in self.heads],
-            "weights": [w.ravel().tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        net = cls(d["layer_dims"], heads=[tuple(h) for h in d["heads"]])
-        if len(d["weights"]) != net.n_layers or len(d["biases"]) != net.n_layers:
-            raise ValueError(f"{net.n_layers} layers, but {len(d['weights'])} weights "
-                             f"and {len(d['biases'])} biases")
-        for l, (w, b) in enumerate(zip(d["weights"], d["biases"])):
-            # weights are stored raveled; reshape(-1) of a C-ordered array is a view
-            copy_checked(net.weights[l].reshape(-1), w, f"weights[{l}]")
-            copy_checked(net.biases[l], b, f"biases[{l}]")
-        return net
 
 
 class Adam:

@@ -293,21 +293,15 @@ def build_pretrained(dataset, config, K):
     caller, so a fit without the informativeness gate never scores.
     """
     dataset.check_views_observed()
-    likelihoods = config.likelihoods or ["gaussian"] * dataset.n_views
-    if len(likelihoods) != dataset.n_views:
-        raise ValueError(
-            f"{len(likelihoods)} likelihoods given for {dataset.n_views} views"
-        )
-    for v, lk in enumerate(likelihoods):
-        if lk == "bernoulli":
-            obs = dataset.observed(v)
-            X = dataset.views[v][obs]
-            if X.min() < 0 or X.max() > 1:
-                raise ValueError(f"view {v} is not in [0,1]; Bernoulli likelihood needs that")
     model = M.DmgmmModel.build(
         dataset.dims, K, d_z=config.d_z, hidden=tuple(config.hidden),
-        likelihoods=likelihoods, seed=config.seed,
+        likelihoods=config.likelihoods or None, seed=config.seed,
     )
+    for v, lk in enumerate(model.likelihoods):
+        if lk == "bernoulli":
+            X = dataset.views[v][dataset.observed(v)]
+            if X.min() < 0 or X.max() > 1:
+                raise ValueError(f"view {v} is not in [0,1]; Bernoulli likelihood needs that")
     latents, losses = pretrain(model, dataset, config)
     calibrate_heads(model, dataset, latents)
     return model, latents, losses

@@ -168,6 +168,13 @@ class TestFit:
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
 
+    def test_identical_seeds_identical_model_json(self, workspace, tmp_path):
+        root, cfg = workspace
+        for name in ("r1", "r2"):
+            assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+        model_json = (tmp_path / "r1" / "model.json").read_bytes()
+        assert model_json == (tmp_path / "r2" / "model.json").read_bytes()
+
     def test_failed_write_keeps_previous_result(self, workspace, tmp_path,
                                                 failing_json_dump):
         root, cfg = workspace
@@ -269,6 +276,22 @@ class TestSweep:
         assert calls == [1.0]
         runs = [r for r in read_rows(tmp_path / "sweep.csv") if r["kind"] == "run"]
         assert [r["rho"] for r in runs] == ["0", "1"]
+
+    def test_repeated_grid_value_fits_once(self, workspace, tmp_path, monkeypatch):
+        root, cfg = workspace
+        calls = []
+
+        def counting_fit(ds, tc):
+            calls.append((tc.selection_ratio, tc.seed))
+            return imvc.trainer.fit(ds, tc)
+
+        monkeypatch.setattr(imvc.cli, "fit", counting_fit)
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
+                     "--set", "sweep.ratios=0.5, 0.50", "--set", "sweep.runs=1",
+                     "--set", "sweep.workers=1"]) == 0
+        assert calls == [(0.5, 0)]
+        runs = [r for r in read_rows(tmp_path / "sweep.csv") if r["kind"] == "run"]
+        assert [(r["rho"], r["seed"]) for r in runs] == [("0.5", "0")]
 
     def test_hash_mismatch_rejected(self, workspace):
         root, cfg = workspace

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from imvc.cli import main
 from imvc.data import (
     MissingSpec,
     MultiViewDataset,
@@ -164,6 +165,21 @@ class TestGenerateMask:
         spec = MissingSpec(np.zeros(3), target_rate=0.0, seed=1)
         mask = generate_mask(100, 3, spec)
         assert (mask == 1).all()
+
+    def test_one_view_zero_rate_all_ones(self):
+        spec = MissingSpec(np.array([0.3]), target_rate=0.0, seed=1)
+        assert (generate_mask(10, 1, spec) == 1).all()
+
+    def test_one_view_positive_rate_infeasible(self):
+        spec = MissingSpec(np.array([0.3]), target_rate=0.1, seed=1)
+        with pytest.raises(ValueError, match="infeasible with 1 views"):
+            generate_mask(10, 1, spec)
+
+    def test_one_view_zero_rate_cli(self, tmp_path):
+        out = tmp_path / "mask.csv"
+        assert main(["gen-mask", "--out", str(out), "--samples", "10",
+                     "--probs", "0.3", "--rate", "0"]) == 0
+        assert out.read_text().split() == ["1"] * 10
 
     def test_unbalanced_rate_hits_target(self):
         # Monte-Carlo across seeds: realized rate within +-0.02 of 0.5

@@ -805,8 +805,38 @@ def test_model_checkpoint_roundtrip(tmp_path):
         load_model(tmp_path / "junk.json")
 
 
+def test_mixed_model_checkpoint_restores_every_array(tmp_path):
+    ds = small_dataset(52, binary_views=(0, 2))
+    model = small_model(ds, 52, K=4, binary_views=(0, 2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.likelihoods == ["bernoulli", "gaussian", "bernoulli"]
+    assert (back.K, back.d_z) == (model.K, model.d_z)
+    for a, b in zip(model.encoders + model.decoders, back.encoders + back.decoders):
+        assert (a.layer_dims, a.heads) == (b.layer_dims, b.heads)
+    assert len(back.parameters()) == len(model.parameters())
+    for a, b in zip(model.parameters(), back.parameters()):
+        assert np.array_equal(a, b)
+
+
+def test_failed_load_params_writes_nothing():
+    ds = small_dataset(53)
+    model = small_model(ds, 53)
+    before = model.copy_params()
+    saved = [p + 1.0 for p in before]
+    saved[-1] = saved[-1][:, :-1]
+    with pytest.raises(ValueError, match=rf"^parameters\[{len(saved) - 1}\] has shape"):
+        model.load_params(saved)
+    for a, b in zip(before, model.parameters()):
+        assert np.array_equal(a, b)
+
+
+# small_model(dims (5, 4, 3), hidden (8, 6), d_z 3, K 4) has 39 arrays:
+# 3 layers x (W, b) for each of 3 encoders, then 3 decoders, then
+# pi_logits, prior_mu and prior_rho.
 def _short_pi_logits(payload):
-    payload["pi_logits"] = payload["pi_logits"][:2]
+    payload["parameters"][36] = payload["parameters"][36][:2]
 
 
 def _wrong_d_z(payload):
@@ -814,19 +844,43 @@ def _wrong_d_z(payload):
 
 
 def _short_bias(payload):
-    payload["decoders"][0]["biases"][1] = [0.0] * 3
+    # decoder 0 is [3, 6, 8, 10]; arrays 18-23 are its W0, b0, W1, b1, ...
+    payload["parameters"][21] = [0.0] * 3
 
 
 def _wrong_likelihood(payload):
     payload["likelihoods"][0] = "bernoulli"
 
 
+def _dropped_array(payload):
+    del payload["parameters"][-1]
+
+
+def _short_likelihoods(payload):
+    del payload["likelihoods"][-1]
+
+
+def _unknown_likelihood(payload):
+    payload["likelihoods"][1] = "poisson"
+
+
+def _v1_payload(payload):
+    params = payload.pop("parameters")
+    payload.update(magic="imvc-model-v1", pi_logits=params[36], prior_mu=params[37],
+                   prior_rho=params[38], encoders=[], decoders=[])
+
+
 @pytest.mark.parametrize("corrupt,message", [
-    (_short_pi_logits, r"pi_logits has shape \(2,\), expected \(4,\)"),
-    (_wrong_d_z, r"d_z 4 disagrees with view 0's networks"),
-    (_short_bias, r"biases\[1\] has shape \(3,\), expected \(8,\)"),
-    (_wrong_likelihood, r"view 0's bernoulli decoder has output width 10, expected 5"),
-], ids=["pi_logits", "d_z", "bias", "likelihood"])
+    (_short_pi_logits, r"^parameters\[36\] has shape \(2,\), expected \(4,\)$"),
+    (_wrong_d_z, r"^parameters\[4\] has shape \(6, 6\), expected \(6, 8\)$"),
+    (_short_bias, r"^parameters\[21\] has shape \(3,\), expected \(8,\)$"),
+    (_wrong_likelihood, r"^parameters\[22\] has shape \(8, 10\), expected \(8, 5\)$"),
+    (_dropped_array, r"^38 parameter arrays given, expected 39$"),
+    (_short_likelihoods, r"^2 likelihoods given for 3 views$"),
+    (_unknown_likelihood, r"^unknown likelihood 'poisson'$"),
+    (_v1_payload, r"^not a imvc-model-v2 checkpoint"),
+], ids=["pi_logits", "d_z", "bias", "likelihood", "dropped_array", "short_likelihoods",
+        "unknown_likelihood", "v1"])
 def test_inconsistent_checkpoint_rejected(tmp_path, corrupt, message):
     ds = small_dataset(51)
     path = tmp_path / "model.json"

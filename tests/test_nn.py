@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -379,29 +377,3 @@ class TestTrunk:
         assert none is None
         for g, t in zip(grads, grads_no_dx):
             assert np.array_equal(g, t)
-
-
-def test_checkpoint_roundtrip():
-    # the per-network part of model.save_model / load_model
-    net = Mlp([4, 6, 3], heads=(("identity", 1), ("softplus", 2)), seed=21)
-    back = Mlp.from_dict(json.loads(json.dumps(net.to_dict())))
-    X = np.random.default_rng(6).standard_normal((5, 4))
-    np.testing.assert_array_equal(net.forward(X)[0], back.forward(X)[0])
-
-
-@pytest.mark.parametrize("field,value,message", [
-    ("biases", [0.0] * 3, r"biases\[0\] has shape \(3,\), expected \(6,\)"),
-    ("weights", [0.0] * 23, r"weights\[0\] has shape \(23,\), expected \(24,\)"),
-], ids=["biases", "weights"])
-def test_from_dict_rejects_wrong_shape(field, value, message):
-    d = Mlp([4, 6, 3], seed=21).to_dict()
-    d[field][0] = value
-    with pytest.raises(ValueError, match=message):
-        Mlp.from_dict(d)
-
-
-def test_from_dict_rejects_missing_layer():
-    d = Mlp([4, 6, 3], seed=21).to_dict()
-    del d["biases"][1]
-    with pytest.raises(ValueError, match="2 layers, but 2 weights and 1 biases"):
-        Mlp.from_dict(d)
