@@ -135,28 +135,25 @@ def ari(pred, truth):
     return num / den
 
 
-def _k_nearest(key, usable, k):
-    """Columns of each row's k smallest keys among its ``usable`` columns.
+def _k_nearest(key, k, tie):
+    """Columns of each row's k smallest keys, in the order of
+    ``np.lexsort((tie, key), axis=1)``: by key with NaN last, equal keys by
+    ``tie`` (one value per column); k is capped at the column count.
 
-    Every row needs at least one usable column. Row r's first
-    min(k, usable[r].sum()) columns equal those of
-    ``np.lexsort((key, ~usable), axis=1)``: usable columns by key with NaN
-    last, ties to the lower column; the rest repeat its last usable one,
-    and k is capped at the column count. Rows are not sorted whole:
-    ``np.partition`` finds each row's k-th smallest usable key, and only
-    the usable columns whose key is not above it are sorted. Where it is
-    finite they hold the k smallest, ties included; where it is inf or
-    NaN (fewer than k finite usable keys) they are all the usable columns.
+    Rows are not sorted whole: ``np.partition`` finds each row's k-th
+    smallest key, and only the columns whose key is not above it are
+    sorted. Where it is finite they hold the k smallest, ties included;
+    where it is inf or NaN (fewer than k finite keys) they are all the
+    columns.
     """
     n, m = key.shape
     k = min(k, m)
-    kth = np.partition(np.where(usable, key, np.inf), k - 1, axis=1)[:, k - 1]
-    r, c = np.nonzero(usable & ~(key > kth[:, None]))
-    # np.nonzero lists each row's columns ascending, and the sort is stable
-    c = c[np.lexsort((key[r, c], r))]
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1]
+    r, c = np.nonzero(~(key > kth[:, None]))
+    c = c[np.lexsort((tie[c], key[r, c], r))]
     count = np.bincount(r, minlength=n)
     start = np.cumsum(count) - count
-    return c[start[:, None] + np.minimum(np.arange(k), count[:, None] - 1)]
+    return c[start[:, None] + np.arange(k)]
 
 
 def plugin_impute(dataset, table, k=10):
@@ -165,16 +162,22 @@ def plugin_impute(dataset, table, k=10):
     For each selected position (i, v), candidate donors are samples
     observed in view v that share at least one observed view with i; they
     are ranked by the average of per-shared-view Euclidean distances
-    (``scoring.view_distances``; ties go to the lower donor index, NaN
-    distances rank last) and the k nearest donate the unweighted mean of
-    their view-v rows, added nearest first. Donors are ranked per view
-    over blocks of ``model.QUERY_BLOCK`` querying samples, each computing
-    only its own rows of distances, so memory is O(block * N). Within a
-    block only each query's k nearest are sorted (``_k_nearest``): a
-    partial selection finds the k-th smallest distance, and only the
-    donors not farther are sorted; a query with fewer than k finite
-    distances sorts all its usable donors. The order equals that of a
-    full sort. Fills are computed from the original observed data only.
+    (``scoring.view_distances``, added in ascending view order; ties go to
+    the lower donor index, NaN distances rank last) and the k nearest
+    donate the unweighted mean of their view-v rows, added nearest first.
+
+    Like ``scoring.info_scores``, each view v works per pair of
+    observation patterns (the set of views a sample observes): P of a
+    block of at most ``model.QUERY_BLOCK`` querying samples and Q of a
+    group of donors. The shared views S = P & Q are the same for the whole
+    pair, so the group fills its own columns of the block's key matrix
+    with one dense sum of |S| distance blocks over |S|; a pattern pair
+    with no shared view holds no candidate and gets no columns. Memory is
+    thus O(block * N). Within a block only each query's k nearest are
+    sorted (``_k_nearest``, ties broken by donor index), and the order
+    equals that of a full sort. Fills are computed from the original
+    observed data only.
+
     Returns (new dataset, imputed flag matrix); observed cells and
     unselected positions are untouched, and filled cells get mask 1.
     Raises ValueError unless k is an integer of at least 1.
@@ -189,10 +192,10 @@ def plugin_impute(dataset, table, k=10):
     if observed.any():
         i, v = pos[observed][0]
         raise ValueError(f"position ({i}, {v}) is observed, nothing to impute")
-    views = np.unique(pos[:, 1])
-    maskf = mask.astype(np.float64)
-    for v in views:
-        donors = np.where(mask[:, v])[0]
+    kinds, pattern = np.unique(mask, axis=0, return_inverse=True)
+    pattern = pattern.ravel()
+    for v in np.unique(pos[:, 1]):
+        donors = np.flatnonzero(mask[:, v])
         if donors.size == 0:
             raise ValueError(f"no sample observes view {v}; cannot impute")
         q = pos[pos[:, 1] == v, 0]
@@ -200,22 +203,26 @@ def plugin_impute(dataset, table, k=10):
         if lonely.size:
             raise ValueError(f"no donor shares an observed view with sample {lonely[0]}")
         X = dataset.views[v]
-        observers = [np.flatnonzero(m) for m in mask[donors].T]
-        for lo in range(0, q.size, QUERY_BLOCK):
-            qb = q[lo:lo + QUERY_BLOCK]
-            total = np.zeros((qb.size, donors.size))
-            for u, b in enumerate(observers):
-                a = np.flatnonzero(mask[qb, u])
-                total[np.ix_(a, b)] += view_distances(dataset, u, qb[a], donors[b])
-            count = maskf[qb] @ maskf[donors].T
-            usable = count > 0
-            order = _k_nearest(total / np.maximum(count, 1.0), usable, k)
-            kk = np.minimum(k, usable.sum(axis=1))
-            # rows grouped by neighbour count, so each mean reduces a
-            # (c, d) slice in the same order as a one-query mean would
-            for c in np.unique(kk):
-                r = kk == c
-                new_views[v][qb[r]] = X[donors[order[r, :c]]].mean(axis=1)
+        groups = [(kinds[g], donors[pattern[donors] == g])
+                  for g in np.unique(pattern[donors]).tolist()]
+        for p in np.unique(pattern[q]).tolist():
+            # the donor groups sharing views with pattern p: members and S
+            pairs = [(members, S) for kind, members in groups
+                     if (S := np.flatnonzero(kinds[p] & kind)).size]
+            tie = np.concatenate([members for members, _ in pairs])
+            cuts = np.cumsum([members.size for members, _ in pairs[:-1]], dtype=np.int64)
+            qp = q[pattern[q] == p]
+            for lo in range(0, qp.size, QUERY_BLOCK):
+                qb = qp[lo:lo + QUERY_BLOCK]
+                key = np.empty((qb.size, tie.size))
+                for (members, S), block in zip(pairs, np.split(key, cuts, axis=1)):
+                    # the kernel sums squares from +0.0, so no distance is
+                    # -0.0 and copying the first view equals adding it to 0
+                    block[...] = view_distances(dataset, S[0], qb, members)
+                    for u in S[1:]:
+                        block += view_distances(dataset, u, qb, members)
+                    block /= float(S.size)
+                new_views[v][qb] = X[tie[_k_nearest(key, k, tie)]].mean(axis=1)
         new_mask[q, v] = 1
         imputed[q, v] = True
     return (

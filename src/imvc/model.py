@@ -173,13 +173,19 @@ class DmgmmModel:
     def load_params(self, saved):
         """Copy ``saved``, one array (or nested list) per entry of
         ``parameters()`` in that order, into the live parameters. Nothing
-        is written unless the count and every shape match; otherwise
-        ValueError names the count or the first bad ``parameters[i]``.
+        is written unless the count matches and every entry is a numeric
+        array of the matching shape; otherwise ValueError names the count or
+        the first bad ``parameters[i]``.
         """
         params = self.parameters()
         if len(saved) != len(params):
             raise ValueError(f"{len(saved)} parameter arrays given, expected {len(params)}")
-        arrays = [np.asarray(s, dtype=np.float64) for s in saved]
+        arrays = []
+        for i, s in enumerate(saved):
+            try:
+                arrays.append(np.asarray(s, dtype=np.float64))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"parameters[{i}] is not a numeric array: {exc}") from None
         for i, (p, a) in enumerate(zip(params, arrays)):
             if a.shape != p.shape:
                 raise ValueError(f"parameters[{i}] has shape {a.shape}, expected {p.shape}")
@@ -284,8 +290,10 @@ def w2_distance(a, b):
 
 
 # Query rows per block of the neighbour searches (here and in
-# metrics.plugin_impute). A block holds a few (block, donors) arrays, so
-# one call needs O(block * N) memory.
+# metrics.plugin_impute). A block holds a few arrays of at most block *
+# donors elements (plugin_impute's keys cover only the donors sharing a
+# view with the block's observation pattern), so one call needs
+# O(block * N) memory.
 QUERY_BLOCK = 256
 
 
@@ -706,14 +714,24 @@ def save_model(model, path):
         json.dump(payload, fh)
 
 
+# the fields of a model.json after "magic", with their JSON types
+MODEL_FIELDS = {"view_dims": list, "K": int, "d_z": int, "hidden": list,
+                "likelihoods": list, "parameters": list}
+
+
 def load_model(path):
     """The model of a ``save_model`` checkpoint, rebuilt by ``build`` and
     filled by ``load_params``; either raises ValueError on a header or an
-    array that does not fit, and so does a wrong magic string."""
+    array that does not fit, and so does a file that is not a JSON object
+    with the magic string and every field of ``MODEL_FIELDS`` at its type."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("magic") != MODEL_MAGIC:
+    if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:
         raise ValueError(f"not a {MODEL_MAGIC} checkpoint: {path}")
+    for field, kind in MODEL_FIELDS.items():
+        if not isinstance(payload.get(field), kind):
+            raise ValueError(f"checkpoint field {field!r} is missing or not a "
+                             f"{kind.__name__}: {path}")
     model = DmgmmModel.build(
         payload["view_dims"], payload["K"], d_z=payload["d_z"],
         hidden=payload["hidden"], likelihoods=payload["likelihoods"],

@@ -13,8 +13,8 @@ argsort.
 ``plugin_impute_per_position`` ranks the raw-feature donors of
 ``metrics.plugin_impute`` one selected position at a time, from dense
 N x N distance matrices per view, and ``lexsort_nearest`` is the full
-two-key sort whose first min(k, usable donors) columns of a row its
-partial selection ``metrics._k_nearest`` must equal.
+(key, donor index) sort whose first k columns of a row the partial
+selection ``metrics._k_nearest`` must equal.
 ``info_scores_per_position`` scores one
 missing position at a time with one ``math.fsum`` per support member.
 ``pairwise_similarity`` is the dense N x N similarity matrix of one view
@@ -158,11 +158,11 @@ def score_of(table, i, v):
     return float(table.scores[idx[0]])
 
 
-def lexsort_nearest(key, usable, k):
+def lexsort_nearest(key, k, tie):
     """Columns of each row's k nearest donors by a full sort of the row:
-    usable columns first, each group by key with NaN last, ties to the
-    lower column."""
-    return np.lexsort((key, ~usable), axis=1)[:, :k]
+    by key with NaN last, equal keys by ``tie``, one value per column
+    (the donor index of a column)."""
+    return np.lexsort((np.broadcast_to(tie, key.shape), key), axis=1)[:, :k]
 
 
 def plugin_impute_per_position(dataset, table, k=10):

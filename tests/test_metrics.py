@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from imvc import metrics
 from imvc.data import MultiViewDataset
 from imvc.metrics import _k_nearest, _max_matching, accuracy, ari, nmi, plugin_impute
 from imvc.model import QUERY_BLOCK
@@ -203,41 +204,33 @@ def plugin_instance(seed, n=60, V=3, ties=False, long_view=False, nan_row=False,
 
 NAN, INF = np.nan, np.inf
 
-# (key, usable) rows of hand-built donor rankings; each is checked at every k
-# from 1 to one past the donor count
+# (key rows, tie) of hand-built donor rankings; tie is the donor index of
+# each column, not in column order, as when several donor groups fill a
+# block's columns. Each case is checked at every k from 1 to two past the
+# column count.
 NEAREST_CASES = {
     # the k-th value is shared by several donors on either side of it
     "ties-across-kth": ([[2.0, 1.0, 2.0, 0.0, 2.0, 1.0, 2.0],
                          [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
                          [0.0, -0.0, 0.0, 3.0, -0.0, 0.0, 3.0]],
-                        [[1] * 7] * 3),
-    # unusable donors (key 0, as a donor sharing no view gets) at the lower
-    # indices, +inf and NaN keys on usable ones
-    "inf-nan-keys": ([[0.0, 0.0, NAN, INF, 0.5, 0.2, NAN, 0.2],
-                      [0.0, 0.0, INF, NAN, INF, 0.1, 0.3, INF],
-                      [0.0, 0.0, NAN, NAN, NAN, NAN, NAN, NAN]],
-                     [[0, 0, 1, 1, 1, 1, 1, 1]] * 3),
-    # rows with fewer usable donors than k next to rows with more
-    "few-usable": ([[0.3, 0.1, 0.2, 0.4, 0.5, 0.0],
-                    [0.3, 0.1, 0.2, 0.4, 0.5, 0.0],
-                    [0.3, 0.1, 0.2, 0.4, 0.5, 0.0]],
-                   [[1, 1, 1, 1, 1, 1],
-                    [0, 1, 0, 1, 0, 0],
-                    [1, 0, 0, 0, 0, 1]]),
-    "single-donor": ([[NAN], [0.0], [2.0], [INF]], [[1], [1], [1], [1]]),
+                        [4, 6, 0, 2, 5, 1, 3]),
+    # NaN and +-inf keys, and rows with fewer finite keys than k
+    "inf-nan-keys": ([[NAN, INF, 0.5, 0.2, NAN, 0.2],
+                      [INF, NAN, INF, 0.1, -INF, INF],
+                      [-INF, NAN, -INF, INF, 0.0, -INF],
+                      [NAN, NAN, NAN, NAN, NAN, NAN],
+                      [INF, INF, INF, INF, INF, INF]],
+                     [7, 9, 11, 2, 3, 5]),
+    "single-donor": ([[NAN], [0.0], [2.0], [INF], [-INF]], [4]),
 }
 
 
 @pytest.mark.parametrize("case", NEAREST_CASES)
 def test_k_nearest_equals_full_sort(case):
-    # only a row's first min(k, usable donors) columns are meaningful
-    key, usable = NEAREST_CASES[case]
-    key, usable = np.array(key), np.array(usable, dtype=bool)
-    for k in range(1, key.shape[1] + 2):
-        ref = lexsort_nearest(key, usable, k)
-        got = _k_nearest(key, usable, k)
-        for r, kk in enumerate(np.minimum(k, usable.sum(axis=1))):
-            np.testing.assert_array_equal(got[r, :kk], ref[r, :kk], err_msg=f"k={k}, row {r}")
+    key, tie = map(np.array, NEAREST_CASES[case])
+    for k in range(1, key.shape[1] + 3):
+        np.testing.assert_array_equal(_k_nearest(key, k, tie), lexsort_nearest(key, k, tie),
+                                      err_msg=f"k={k}")
 
 
 class TestPluginImpute:
@@ -319,6 +312,15 @@ class TestPluginImpute:
         with pytest.raises(ValueError, match=f"at least one neighbor.*got {k!r}$"):
             plugin_impute(ds, table_for(ds), k=k)
 
+    def assert_per_position_fills(self, ds, table, k):
+        out, flags = plugin_impute(ds, table, k=k)
+        ref, ref_flags = plugin_impute_per_position(ds, table, k=k)
+        for a, b in zip(out.views, ref.views):
+            np.testing.assert_array_equal(a, b, err_msg=f"k={k}")
+        np.testing.assert_array_equal(out.mask, ref.mask)
+        np.testing.assert_array_equal(flags, ref_flags)
+        return out
+
     @pytest.mark.parametrize("case,k", [
         (dict(), 3),
         (dict(ties=True), 5),
@@ -331,29 +333,79 @@ class TestPluginImpute:
             "nan-distances", "few-usable-donors"])
     def test_bitwise_equal_to_per_position(self, case, k):
         for seed in range(8):
-            ds, table = plugin_instance(seed, **case)
-            out, flags = plugin_impute(ds, table, k=k)
-            ref, ref_flags = plugin_impute_per_position(ds, table, k=k)
-            for a, b in zip(out.views, ref.views):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(out.mask, ref.mask)
-            np.testing.assert_array_equal(flags, ref_flags)
+            self.assert_per_position_fills(*plugin_instance(seed, **case), k)
 
     def test_memory_stays_below_quadratic(self):
         # every view's (m, m) distance matrix, held for the whole call,
-        # peaked at about 109 MB
+        # peaked at about 109 MB; a dense (block, donors) scatter of each
+        # shared view's distances, with a count GEMM, at about 25 MB
         ds, corr = scale_instance()
         table = select_positions(info_scores(ds, corr=corr), 0.3)
-        assert traced_peak_bytes(plugin_impute, ds, table, k=10) < 64 * 2**20
+        assert traced_peak_bytes(plugin_impute, ds, table, k=10) < 16 * 2**20
+
+    def test_donor_groups_sharing_no_view(self):
+        # view 2's queries 0 and 8 observe view 0 only. Donors 1 and 2
+        # observe views 1 and 2, so share no view with them and never
+        # donate; donors 3-7 observe views 0 and 2, at NaN (3, 7), inf (4,
+        # its squares overflow) and finite (5, 6) distances from sample 0.
+        # Sample 8's own row is NaN, so all its distances are NaN.
+        v0 = np.array([[0.0], [0.0], [0.0], [NAN], [1e200], [0.5], [0.2], [NAN], [NAN]])
+        v1 = np.zeros((9, 1))
+        v2 = 10.0 * np.arange(9.0)[:, None]
+        mask = np.array([[1, 0, 0]] + [[0, 1, 1]] * 2 + [[1, 0, 1]] * 5 + [[1, 0, 0]])
+        ds = MultiViewDataset(views=[v0, v1, v2], mask=mask)
+        table = table_for(ds)
+        table.selected[:] = table.positions[:, 1] == 2
+        nearest = {0: [6, 5, 4, 3, 7], 8: [3, 4, 5, 6, 7]}
+        for k in range(1, 8):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = self.assert_per_position_fills(ds, table, k)
+            for i, donors in nearest.items():
+                assert out.views[2][i, 0] == v2[donors[:k], 0].mean()
+
+    def test_fewer_donors_than_k(self):
+        # view 2's queries of patterns {0}, {1} and {0, 1} have 3, 5 and 7
+        # candidate donors among groups {0, 2} (2 donors), {1, 2} (4) and
+        # {0, 1, 2} (1), so at most k they use different donor counts
+        rng = np.random.default_rng(5)
+        kinds = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
+        mask = np.repeat(kinds, [3, 2, 2, 2, 4, 1], axis=0)[rng.permutation(14)]
+        ds = MultiViewDataset(views=[rng.normal(size=(14, d)) for d in (2, 3, 2)], mask=mask)
+        table = table_for(ds)
+        table.selected[:] = table.positions[:, 1] == 2
+        for k in range(1, 9):
+            self.assert_per_position_fills(ds, table, k)
+
+    def test_every_pattern_of_five_views(self, monkeypatch):
+        # all 31 observation patterns of V = 5: many (query, donor) pattern
+        # pairs share no view, e.g. {0} and {1}. The 12 extra samples
+        # observing views 0 and 1 only are one query pattern of views 2-4
+        # that spans several blocks.
+        rng = np.random.default_rng(11)
+        kinds = np.array([[p >> u & 1 for u in range(5)] for p in range(1, 32)])
+        mask = np.vstack([kinds, np.tile([[1, 1, 0, 0, 0]], (12, 1)), kinds])
+        n = mask.shape[0]
+        ds = MultiViewDataset([rng.normal(size=(n, d)) for d in (3, 1, 2, 4, 2)], mask)
+        table = table_for(ds)
+        for block in (1, 2, 5, QUERY_BLOCK):
+            monkeypatch.setattr(metrics, "QUERY_BLOCK", block)
+            for k in (1, 4, 10):
+                self.assert_per_position_fills(ds, table, k)
 
     @pytest.mark.parametrize("mask,select,message", [
-        ([[1, 0], [1, 1], [1, 1]], (1, 1), r"\(1, 1\) is observed"),
-        ([[1, 0], [1, 0], [1, 0]], (0, 1), r"no sample observes view 1"),
-        ([[1, 0], [0, 1], [0, 1]], (0, 1), r"no donor shares an observed view with sample 0"),
-    ], ids=["observed-position", "view-without-donor", "no-shared-view"])
+        ([[1, 0], [1, 1], [1, 1]], [(1, 1)], r"\(1, 1\) is observed"),
+        ([[1, 0], [1, 0], [1, 0]], [(0, 1)], r"no sample observes view 1"),
+        ([[1, 0], [0, 1], [0, 1]], [(0, 1)], r"no donor shares an observed view with sample 0"),
+        # view 3's only donor observes views 2 and 3, so its queries 0 and 1
+        # (views 0 and 1 only) share no view with it: the error names 0, the
+        # first in selection order, though np.unique sorts 1's pattern first
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 0]], [(0, 3), (1, 3), (3, 3)],
+         r"no donor shares an observed view with sample 0$"),
+    ], ids=["observed-position", "view-without-donor", "no-shared-view", "first-lonely-query"])
     def test_unfillable_selection_rejected(self, mask, select, message):
-        ds = MultiViewDataset(views=[np.arange(3.0)[:, None]] * 2, mask=np.array(mask))
-        table = InfoTable(positions=np.array([select]), scores=np.zeros(1),
-                          selected=np.ones(1, dtype=bool))
+        n, V = np.shape(mask)
+        ds = MultiViewDataset(views=[np.arange(float(n))[:, None]] * V, mask=np.array(mask))
+        table = InfoTable(positions=np.array(select), scores=np.zeros(len(select)),
+                          selected=np.ones(len(select), dtype=bool))
         with pytest.raises(ValueError, match=message):
             plugin_impute(ds, table)

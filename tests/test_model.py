@@ -864,6 +864,18 @@ def _unknown_likelihood(payload):
     payload["likelihoods"][1] = "poisson"
 
 
+def _scalar_parameters(payload):
+    payload["parameters"] = 5
+
+
+def _object_array(payload):
+    payload["parameters"][5] = {"W": 1.0}
+
+
+def _ragged_array(payload):
+    payload["parameters"][4] = [[0.0, 1.0], [2.0]]
+
+
 def _v1_payload(payload):
     params = payload.pop("parameters")
     payload.update(magic="imvc-model-v1", pi_logits=params[36], prior_mu=params[37],
@@ -878,9 +890,12 @@ def _v1_payload(payload):
     (_dropped_array, r"^38 parameter arrays given, expected 39$"),
     (_short_likelihoods, r"^2 likelihoods given for 3 views$"),
     (_unknown_likelihood, r"^unknown likelihood 'poisson'$"),
+    (_scalar_parameters, r"^checkpoint field 'parameters' is missing or not a list: "),
+    (_object_array, r"^parameters\[5\] is not a numeric array: "),
+    (_ragged_array, r"^parameters\[4\] is not a numeric array: "),
     (_v1_payload, r"^not a imvc-model-v2 checkpoint"),
 ], ids=["pi_logits", "d_z", "bias", "likelihood", "dropped_array", "short_likelihoods",
-        "unknown_likelihood", "v1"])
+        "unknown_likelihood", "scalar_parameters", "object_array", "ragged_array", "v1"])
 def test_inconsistent_checkpoint_rejected(tmp_path, corrupt, message):
     ds = small_dataset(51)
     path = tmp_path / "model.json"
@@ -888,6 +903,18 @@ def test_inconsistent_checkpoint_rejected(tmp_path, corrupt, message):
     payload = json.loads(path.read_text())
     corrupt(payload)
     path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", r"^not a imvc-model-v2 checkpoint: "),
+    ('{"magic": "imvc-model-v2"}', r"^checkpoint field 'view_dims' is missing or not a list: "),
+], ids=["json-list", "magic-only"])
+def test_malformed_checkpoint_rejected(tmp_path, text, message):
+    # these used to escape as AttributeError and KeyError
+    path = tmp_path / "model.json"
+    path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_model(path)
 
