@@ -97,6 +97,24 @@ class MultiViewDataset:
         return list(zip(ii.tolist(), vv.tolist()))
 
 
+def mask_patterns(mask):
+    """The observation patterns of ``mask``: ``(kinds, inverse)``, the
+    distinct rows in ascending lexicographic order and each row's index
+    into them, equal to ``np.unique(mask, axis=0, return_inverse=True)``
+    (``inverse`` flattened). One ``np.lexsort`` over the columns, first
+    column most significant, then a mark at every change of sorted row;
+    it sorts no void records and works for any view count.
+    """
+    mask = np.asarray(mask)
+    order = np.lexsort(mask.T[::-1])
+    ranked = mask[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ranked[starts], inverse
+
+
 @dataclass
 class MissingSpec:
     """Unbalanced missing-mask request.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import MultiViewDataset
+from .data import MultiViewDataset, mask_patterns
 from .model import QUERY_BLOCK, check_neighbors
 from .scoring import view_distances
 
@@ -192,8 +192,7 @@ def plugin_impute(dataset, table, k=10):
     if observed.any():
         i, v = pos[observed][0]
         raise ValueError(f"position ({i}, {v}) is observed, nothing to impute")
-    kinds, pattern = np.unique(mask, axis=0, return_inverse=True)
-    pattern = pattern.ravel()
+    kinds, pattern = mask_patterns(mask)
     for v in np.unique(pos[:, 1]):
         donors = np.flatnonzero(mask[:, v])
         if donors.size == 0:

@@ -28,6 +28,7 @@ mixture parameters; imputed expert parameters are treated as constants
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -219,24 +220,42 @@ def encode_view(model, v, X):
     return GaussianPosterior(mu=out[:, :d], var=out[:, d:] ** 2)
 
 
-def encode_all(model, dataset):
+def encoder_pass(model, dataset, batch_idx):
+    """Every view's encoder run on the rows of ``batch_idx`` that observe
+    the view: one ``(rows, out, cache)`` per view, with ``rows`` indexing
+    into ``batch_idx``, ``out`` the encoder's ``[mu | sigma]`` on those rows
+    and ``cache`` its ``Mlp.forward`` cache (whose first layer input is the
+    rows' features). A pass is only read, never written, so one pass of a
+    parameter state can serve ``encode_all`` and ``loss_and_grads`` alike.
+    """
+    obs = dataset.mask[batch_idx].astype(bool)
+    enc = []
+    for v in range(model.n_views):
+        rows = np.flatnonzero(obs[:, v])
+        out, cache = model.encoders[v].forward(dataset.views[v][batch_idx[rows]])
+        enc.append((rows, out, cache))
+    return enc
+
+
+def encode_all(model, dataset, encoded=None):
     """Per-view posteriors over all samples.
 
-    Unobserved rows hold neutral placeholders (mu 0, var 1) that no fusion
-    reads: ``aggregate_observed`` takes each view's expert on its observed
-    rows only. Only observed rows are ever passed through the encoders, so
+    ``encoded``, when given, is ``encoder_pass`` over ``arange(N)`` at the
+    current parameters, and no encoder is run. Unobserved rows hold
+    neutral placeholders (mu 0, var 1) that no fusion reads:
+    ``aggregate_observed`` takes each view's expert on its observed rows
+    only. Only observed rows are ever passed through the encoders, so
     poisoned masked cells cannot leak.
     """
     n, d = dataset.n_samples, model.d_z
+    if encoded is None:
+        encoded = encoder_pass(model, dataset, np.arange(n))
     posts = []
-    for v in range(model.n_views):
-        rows = dataset.observed(v)
+    for rows, out, _ in encoded:
         mu = np.zeros((n, d))
         var = np.ones((n, d))
-        if rows.size:
-            p = encode_view(model, v, dataset.views[v][rows])
-            mu[rows] = p.mu
-            var[rows] = p.var
+        mu[rows] = out[:, :d]
+        var[rows] = out[:, d:] ** 2
         posts.append(GaussianPosterior(mu=mu, var=var))
     return posts
 
@@ -341,18 +360,21 @@ def gemm_sq_distances(A, sq_a, B, sq_b):
     return approx, tol
 
 
-def _nearest_donors(agg, feats, sq, q, donors, k):
+def _nearest_donors(feats, sq, q, donors, k):
     """The k donors nearest to each query row by ``w2_distance``.
 
-    ``feats`` is ``[mu, sd]`` of the aggregates ``agg`` and ``sq`` its
-    squared row norms. Returns ``(nb, dist)``, two (len(q), k) arrays of
-    donor sample indices and their distances: each row is what a stable
-    argsort of the full query x donor distance matrix keeps (ascending
-    distance, ties to the lower donor index), bit for bit. Per block of
-    query rows, one GEMM gives W2^2 = |f_q|^2 + |f_d|^2 - 2 f_q.f_d up to
-    rounding; only donors within the rounding bound of a row's k-th value
-    are re-ranked with ``w2_distance``.
+    ``feats`` is ``[mu, sd]`` of the fused posteriors, one row per sample,
+    and ``sq`` its squared row norms. Returns ``(nb, dist)``, two (len(q),
+    k) arrays of donor sample indices and their distances: each row is
+    what a stable argsort of the full query x donor distance matrix keeps
+    (ascending distance, ties to the lower donor index), bit for bit. Per
+    block of query rows, one GEMM gives W2^2 = |f_q|^2 + |f_d|^2 - 2 f_q.f_d
+    up to rounding; only donors within the rounding bound of a row's k-th
+    value are re-ranked, from the same ``feats`` rows, by the operations of
+    ``w2_distance``: the mu and sd halves' squared differences are summed
+    separately, then added.
     """
+    d = feats.shape[1] // 2
     fd, sq_d = feats[donors], sq[donors]
     nb = np.empty((q.size, k), dtype=np.int64)
     dist = np.empty((q.size, k))
@@ -374,17 +396,15 @@ def _nearest_donors(agg, feats, sq, q, donors, k):
                 if c > k:
                     part = np.argpartition(approx, c - 1, axis=1)
                 cand = donors[np.sort(part[:, :c], axis=1)]
-        # re-rank in row chunks so that no gathered (rows, C, d_z) array
-        # holds more than QUERY_BLOCK * donors elements, even when ties
+        # re-rank in row chunks so that no gathered (rows, C, 2 d_z) array
+        # holds more than 2 * QUERY_BLOCK * donors elements, even when ties
         # make every donor a candidate
         exact = np.empty(cand.shape)
-        step = max(1, QUERY_BLOCK * donors.size // (cand.shape[1] * agg.mu.shape[1]))
+        step = max(1, QUERY_BLOCK * donors.size // (cand.shape[1] * d))
         for s in range(0, qb.size, step):
-            qs, cs = qb[s:s + step], cand[s:s + step]
-            exact[s:s + step] = w2_distance(
-                GaussianPosterior(agg.mu[qs][:, None, :], agg.var[qs][:, None, :]),
-                GaussianPosterior(agg.mu[cs], agg.var[cs]),
-            )
+            diff = feats[qb[s:s + step]][:, None, :] - feats[cand[s:s + step]]
+            diff *= diff
+            exact[s:s + step] = np.sqrt(diff[..., :d].sum(axis=-1) + diff[..., d:].sum(axis=-1))
         order = np.argsort(exact, axis=1, kind="stable")[:, :k]
         rows = np.arange(qb.size)[:, None]
         nb[lo:lo + qb.size] = cand[rows, order]
@@ -429,7 +449,7 @@ def impute_all(dataset, table, view_posteriors, k=10):
         if donors.size == 0:
             raise ValueError(f"no sample observes view {v}; cannot impute")
         q = np.unique(pos[pos[:, 1] == v, 0])
-        nb, dn = _nearest_donors(agg, feats, sq, q, donors, min(k, donors.size))
+        nb, dn = _nearest_donors(feats, sq, q, donors, min(k, donors.size))
         e = np.exp(-(dn - dn.min(axis=1, keepdims=True)))
         w = e / e.sum(axis=1, keepdims=True)
         mu_nb = view_posteriors[v].mu[nb]  # (nq, k, d)
@@ -498,29 +518,33 @@ def _check_finite(name, value):
 
 def check_trainable(model):
     """Raise NonFiniteLossError when a parameter is not finite or a prior
-    weight has underflowed to 0 (the loss takes its log)."""
-    for p in model.parameters():
-        _check_finite("parameters", p)
+    weight has underflowed to 0 (the loss takes its log). One pass over all
+    parameters, concatenated in ``parameters()`` order, so the error
+    carries the first non-finite entry in that order."""
+    _check_finite("parameters", np.concatenate([p.ravel() for p in model.parameters()]))
     with np.errstate(divide="ignore"):
         _check_finite("log_pi", np.log(model.pi))
 
 
-def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
+def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
+                   encoded=None):
     """Training objective and analytic gradients on one batch.
 
     eps is the frozen reparameterization noise, shape (len(batch), d_z).
     imputations is the ``(prec, num)`` pair of ``impute_all`` over all
     samples (or None); its rows for the batch are treated as constant
-    experts (no gradients flow into them). Each view's networks run on
-    the batch rows that observe it only, so a view that no batch row
-    observes gets exactly zero gradients. Returns (LossTerms, grads) with
-    grads aligned to ``model.parameters()``. Raises NonFiniteLossError
-    naming the first non-finite term.
+    experts (no gradients flow into them). ``encoded``, when given, is
+    ``encoder_pass(model, dataset, batch_idx)`` at the current parameters
+    and is read in place of running the encoders again; the result is the
+    same bit for bit. Each view's networks run on the batch rows that
+    observe it only, so a view that no batch row observes gets exactly
+    zero gradients. Returns (LossTerms, grads) with grads aligned to
+    ``model.parameters()``. Raises NonFiniteLossError naming the first
+    non-finite term.
     """
     batch_idx = np.asarray(batch_idx, dtype=np.int64)
     B = batch_idx.size
     d = model.d_z
-    V = model.n_views
     obs = dataset.mask[batch_idx].astype(bool)
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (B, d):
@@ -528,14 +552,13 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
     c = 1.0 / B
 
     # ---- encode: each view's expert lives on the batch rows observing it ----
+    if encoded is None:
+        encoded = encoder_pass(model, dataset, batch_idx)
     enc = []  # (rows, X, encoder cache, mu, sd, var, prec) per view
-    for v in range(V):
-        rows = np.flatnonzero(obs[:, v])
-        X = dataset.views[v][batch_idx[rows]]
-        out, cache = model.encoders[v].forward(X)
+    for rows, out, cache in encoded:
         sd = out[:, d:]
         var = sd**2
-        enc.append((rows, X, cache, out[:, :d], sd, var, 1.0 / var))
+        enc.append((rows, cache[0][0], cache, out[:, :d], sd, var, 1.0 / var))
 
     # ---- product of experts: constant imputed experts, then observed ----
     if imputations is None:
@@ -547,16 +570,18 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
     sd_agg = np.sqrt(var_agg)
     z = mu_agg + sd_agg * eps
 
-    # ---- mixture prior ----
-    prior = model.prior
-    pi = prior.pi
+    # ---- mixture prior: each shared (B, K, d) term is formed once ----
+    pi = model.pi
     log_pi = np.log(pi)
-    mu_k = prior.mu
-    var_k = prior.var
+    mu_k = model.prior_mu
+    var_k = softplus(model.prior_rho) + VAR_MIN
     diff = z[:, None, :] - mu_k[None]
+    diff2 = diff**2
+    m_diff = mu_agg[:, None, :] - mu_k[None]
+    spread = var_agg[:, None, :] + m_diff**2
     ll = -0.5 * (
         (LOG_2PI + np.log(var_k)).sum(axis=-1)[None, :]
-        + (diff**2 / var_k[None]).sum(axis=-1)
+        + (diff2 / var_k[None]).sum(axis=-1)
     )
     logits = log_pi[None, :] + ll
     log_gamma = logits - logits.max(axis=1, keepdims=True)
@@ -566,7 +591,7 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
     kl_k = 0.5 * (
         np.log(var_k).sum(axis=-1)[None, :]
         - np.log(var_agg).sum(axis=-1)[:, None]
-        + ((var_agg[:, None, :] + (mu_agg[:, None, :] - mu_k[None]) ** 2) / var_k[None]).sum(axis=-1)
+        + (spread / var_k[None]).sum(axis=-1)
         - d
     )
     t2 = (gamma * kl_k).sum(axis=1)
@@ -602,12 +627,44 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
         coherence=float(ch.mean()),
         alpha=float(alpha),
     )
-    _check_finite("reconstruction", terms.recon)
-    _check_finite("gaussian_kl", terms.kl_gauss)
-    _check_finite("categorical_kl", terms.kl_cat)
-    _check_finite("coherence", terms.coherence)
+    for name, value in (("reconstruction", terms.recon), ("gaussian_kl", terms.kl_gauss),
+                        ("categorical_kl", terms.kl_cat), ("coherence", terms.coherence)):
+        if not math.isfinite(value):
+            raise NonFiniteLossError(name, value)
 
     # ================= backward =================
+    # gamma-dependent paths first, so that their (B, K, d) terms are freed
+    # before the decoders' backward passes
+    d_gamma = c * (kl_k + log_gamma - log_pi[None, :] + 1.0)
+    d_logits = gamma * (d_gamma - (gamma * d_gamma).sum(axis=1, keepdims=True))
+    inv_vk = 1.0 / var_k
+    inv_vk2 = inv_vk**2
+    diff_iv = diff * inv_vk[None]
+    g_prior = -np.einsum("bk,bkd->bd", d_logits, diff_iv)
+
+    d_log_pi = d_logits.sum(axis=0) - c * gamma.sum(axis=0)
+    d_pi_logits = d_log_pi - pi * d_log_pi.sum()
+
+    d_mu_k = np.einsum("bk,bkd->kd", d_logits, diff_iv)
+    d_var_k = np.einsum(
+        "bk,bkd->kd", d_logits, -0.5 * (inv_vk[None] - diff2 * inv_vk2[None])
+    )
+
+    w_bk = c * gamma
+    mu_diff = m_diff * inv_vk[None]
+    d_mu_agg = np.einsum("bk,bkd->bd", w_bk, mu_diff)
+    d_var_agg = 0.5 * (
+        np.einsum("bk,kd->bd", w_bk, inv_vk) - w_bk.sum(axis=1)[:, None] / var_agg
+    )
+    d_mu_k += np.einsum("bk,bkd->kd", w_bk, -mu_diff)
+    d_var_k += np.einsum(
+        "bk,bkd->kd",
+        w_bk,
+        0.5 * (inv_vk[None] - spread * inv_vk2[None]),
+    )
+    del diff, diff2, m_diff, spread, diff_iv, mu_diff
+
+    # decoders; z's gradient adds the prior's path after theirs
     g_z = np.zeros((B, d))
     dec_grads = []
     for v, (cache, out) in enumerate(dec):
@@ -623,35 +680,7 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None):
         gv, dz_rows = model.decoders[v].backward(cache, d_out)
         g_z[rows] += dz_rows
         dec_grads.append(gv)
-
-    # gamma-dependent paths
-    d_gamma = c * (kl_k + log_gamma - log_pi[None, :] + 1.0)
-    d_logits = gamma * (d_gamma - (gamma * d_gamma).sum(axis=1, keepdims=True))
-    inv_vk = 1.0 / var_k
-    g_z += -np.einsum("bk,bkd->bd", d_logits, diff * inv_vk[None])
-
-    d_log_pi = d_logits.sum(axis=0) - c * gamma.sum(axis=0)
-    d_pi_logits = d_log_pi - pi * d_log_pi.sum()
-
-    d_mu_k = np.einsum("bk,bkd->kd", d_logits, diff * inv_vk[None])
-    d_var_k = np.einsum(
-        "bk,bkd->kd", d_logits, -0.5 * (inv_vk[None] - diff**2 * inv_vk[None] ** 2)
-    )
-
-    w_bk = c * gamma
-    mu_diff = (mu_agg[:, None, :] - mu_k[None]) * inv_vk[None]
-    d_mu_agg = np.einsum("bk,bkd->bd", w_bk, mu_diff)
-    d_var_agg = 0.5 * (
-        np.einsum("bk,kd->bd", w_bk, inv_vk) - w_bk.sum(axis=1)[:, None] / var_agg
-    )
-    d_mu_k += np.einsum("bk,bkd->kd", w_bk, -mu_diff)
-    d_var_k += np.einsum(
-        "bk,bkd->kd",
-        w_bk,
-        0.5 * (inv_vk[None]
-               - (var_agg[:, None, :] + (mu_agg[:, None, :] - mu_k[None]) ** 2)
-               * inv_vk[None] ** 2),
-    )
+    g_z += g_prior
 
     # reparameterized sample
     d_mu_agg += g_z

@@ -174,7 +174,8 @@ class Adam:
     construction, so the same list (same shapes, same order) must be passed
     every step. A step updates the whole buffer with elementwise operations
     only, so every element sees the same IEEE operations as an update run
-    array by array.
+    array by array. Its intermediates go to two flat buffers allocated at
+    construction, so a step allocates no flat temporary.
     """
 
     def __init__(self, params, lr=1e-3):
@@ -201,14 +202,24 @@ class Adam:
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
         g = np.concatenate([g.ravel() for g in grads], out=self._grad)
-        m, v = self.m, self.v
+        m, v, upd = self.m, self.v, self._upd
+        # upd holds each moment's increment until the update itself, and g
+        # the step lr * m / b1t once both moments are updated
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        np.multiply(g, 1.0 - ADAM_BETA1, out=upd)
+        m += upd
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        np.divide(self.lr * (m / b1t), np.sqrt(v / b2t) + ADAM_EPS, out=self._upd)
-        for p, upd in zip(params, self._upd_views):
-            p -= upd
+        np.multiply(g, g, out=upd)
+        upd *= 1.0 - ADAM_BETA2
+        v += upd
+        np.divide(m, b1t, out=g)
+        g *= self.lr
+        np.divide(v, b2t, out=upd)
+        np.sqrt(upd, out=upd)
+        upd += ADAM_EPS
+        np.divide(g, upd, out=upd)
+        for p, delta in zip(params, self._upd_views):
+            p -= delta
 
     def state_dict(self):
         return {"t": self.t, "m": self.m.copy(), "v": self.v.copy()}

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import mask_patterns
 from .model import QUERY_BLOCK, gemm_sq_distances
 
 CORR_FLOOR = 1e-3
@@ -227,13 +228,13 @@ def info_scores(dataset, corr):
                          "off-diagonal entries")
     d_max = [max_view_distance(dataset, u) for u in range(V)]
 
-    positions = np.asarray(dataset.missing_positions(), dtype=np.int64).reshape(-1, 2)
+    # the (i, v) pairs of missing_positions(), row-major, as one int array
+    positions = np.argwhere(dataset.mask == 0)
     scores = np.zeros(len(positions))
     index = np.zeros((n, V), dtype=np.int64)
     index[positions[:, 0], positions[:, 1]] = np.arange(len(positions))
     maskb = dataset.mask.astype(bool)
-    kinds, pattern = np.unique(maskb, axis=0, return_inverse=True)
-    pattern = pattern.ravel()
+    kinds, pattern = mask_patterns(maskb)
     for v in range(V):
         donors = np.flatnonzero(maskb[:, v])
         queries = np.flatnonzero(~maskb[:, v])

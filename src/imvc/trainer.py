@@ -307,6 +307,13 @@ def build_pretrained(dataset, config, K):
     return model, latents, losses
 
 
+def _encode(model, dataset, keep):
+    """``encode_all``'s posteriors and, when ``keep``, the encoder pass
+    they were read from (else None), from one run of each encoder."""
+    encoded = M.encoder_pass(model, dataset, np.arange(dataset.n_samples))
+    return M.encode_all(model, dataset, encoded), (encoded if keep else None)
+
+
 def _imputed_experts(dataset, table, posts, k):
     """``impute_all``'s dense experts, or None when nothing is selected."""
     if table is None or not table.n_selected:
@@ -336,9 +343,10 @@ def fit(dataset, config, selective_imputation=True):
     the code path is otherwise identical, so gate-closed runs reproduce
     the imputation-free variant bit for bit. The selected positions are
     imputed once per parameter state: the next epoch's loss, the logged
-    eval and the final assignments all read the same experts. A missing
-    cluster count, or one above the sample count, raises ValueError before
-    any training.
+    eval and the final assignments all read the same experts. A full-batch
+    fit also encodes each state once: the encoder pass that gives the
+    posteriors feeds the next epoch's loss. A missing cluster count, or one
+    above the sample count, raises ValueError before any training.
     """
     K = dataset.K
     if K is None:
@@ -346,8 +354,10 @@ def fit(dataset, config, selective_imputation=True):
     if K > dataset.n_samples:
         raise ValueError(f"cannot place {K} clusters on {dataset.n_samples} samples")
     model, latents, pre_losses = build_pretrained(dataset, config, K)
+    n = dataset.n_samples
+    batch = config.batch_size if 0 < config.batch_size < n else n
 
-    posts = M.encode_all(model, dataset)
+    posts, encoded = _encode(model, dataset, keep=batch == n)
     agg0 = M.aggregate_observed(posts, dataset.mask)
     # Seed the k-means on fully observed samples when there are enough of
     # them: their fused latents share one frame, so the centroids are not
@@ -370,15 +380,15 @@ def fit(dataset, config, selective_imputation=True):
     opt = Adam(params, lr=config.train_lr)
     rng_noise = np.random.default_rng(config.seed + 2_000_003)
     rng_shuffle = np.random.default_rng(config.seed + 3_000_003)
-    n = dataset.n_samples
-    batch = config.batch_size if 0 < config.batch_size < n else n
 
     history = []
     snapshot = (model.copy_params(), opt.state_dict())
     retries = 0
     epoch = 0
     # posts holds the posteriors of the current parameters throughout and
-    # imput the experts imputed from them, which a retried epoch reuses
+    # imput the experts imputed from them, which a retried epoch reuses; so
+    # does encoded, the encoder pass of a full-batch fit (the one batch's
+    # encoder forwards), while mini-batches encode their own rows
     imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
     while epoch < config.train_epochs:
         try:
@@ -393,7 +403,8 @@ def fit(dataset, config, selective_imputation=True):
             for idx in batches:
                 eps = rng_noise.standard_normal((idx.size, config.d_z))
                 terms, grads = M.loss_and_grads(
-                    model, dataset, idx, eps, alpha=config.alpha, imputations=imput
+                    model, dataset, idx, eps, alpha=config.alpha, imputations=imput,
+                    encoded=encoded,
                 )
                 opt.step(params, grads)
                 weighted = {k: idx.size / n * x for k, x in terms.as_dict().items()}
@@ -413,7 +424,8 @@ def fit(dataset, config, selective_imputation=True):
             continue
 
         snapshot = (model.copy_params(), opt.state_dict())
-        posts = M.encode_all(model, dataset)
+        encoded = None  # the old pass is released before the new one is made
+        posts, encoded = _encode(model, dataset, keep=batch == n)
         imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
         entry = {"epoch": epoch, **logged}
         # the last epoch is evaluated once, below, with the final assignments

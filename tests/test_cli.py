@@ -514,6 +514,16 @@ class TestExitCodes:
         for name in ("score", "fit", "sweep", "plugin", "gen-data", "gen-mask"):
             assert name in proc.stdout
 
+    @pytest.mark.parametrize("args,code", [(["--help"], 0), (["--no-such-flag"], 1),
+                                           (["fit", "--no-such-flag"], 1)],
+                             ids=["help", "bad-flag", "bad-subcommand-flag"])
+    def test_python_m_imvc(self, src_env, args, code):
+        # the package itself runs the command line, with no install
+        proc = subprocess.run([sys.executable, "-m", "imvc", *args],
+                              capture_output=True, text=True, env=src_env)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith("usage: imvc") if code == 0 else "error:" in proc.stderr
+
 
 def test_import_loads_no_scipy(src_env):
     proc = subprocess.run(

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from imvc import metrics, scoring
 from imvc.cli import main
 from imvc.data import (
     MissingSpec,
@@ -11,6 +12,7 @@ from imvc.data import (
     generate_mask,
     load_dataset,
     make_synthetic,
+    mask_patterns,
     normalize,
     save_dataset,
 )
@@ -249,3 +251,47 @@ class TestAtomicOpen:
                 raise RuntimeError
         assert path.read_text() == "old"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def unique_patterns(mask):
+    """``np.unique`` over the mask's rows: the reference of ``mask_patterns``."""
+    kinds, inverse = np.unique(mask, axis=0, return_inverse=True)
+    return kinds, inverse.ravel()
+
+
+class TestMaskPatterns:
+    @pytest.mark.parametrize("V,n,observed", [
+        (1, 40, 0.5), (2, 1, 0.5), (3, 300, 0.6), (5, 200, 0.5), (8, 500, 0.9),
+        (63, 50, 0.5), (64, 50, 0.5), (70, 120, 0.5), (70, 120, 0.97), (4, 60, 1.0),
+    ])
+    @pytest.mark.parametrize("dtype", [bool, np.int8])
+    def test_equals_np_unique(self, V, n, observed, dtype):
+        # observed = 1.0 gives a single pattern
+        rng = np.random.default_rng(V * 1000 + n)
+        mask = (rng.random((n, V)) < observed).astype(dtype)
+        kinds, inverse = mask_patterns(mask)
+        want_kinds, want_inverse = unique_patterns(mask)
+        assert kinds.dtype == want_kinds.dtype and inverse.dtype == want_inverse.dtype
+        np.testing.assert_array_equal(kinds, want_kinds)
+        np.testing.assert_array_equal(inverse, want_inverse)
+
+    @pytest.mark.parametrize("seed,V", [(0, 2), (1, 3), (2, 4), (3, 5)])
+    def test_scores_and_fills_unchanged(self, monkeypatch, seed, V):
+        # info_scores and plugin_impute give the same bytes with np.unique's
+        # grouping as with the helper's
+        rng = np.random.default_rng(seed)
+        n = 90
+        mask = (rng.random((n, V)) >= 0.4).astype(int)
+        mask[mask.sum(axis=1) == 0, rng.integers(V)] = 1
+        ds = MultiViewDataset([rng.normal(size=(n, v + 2)) for v in range(V)], mask)
+        corr = np.full((V, V), 0.5) + 0.5 * np.eye(V)
+
+        def run():
+            table = scoring.select_positions(scoring.info_scores(ds, corr=corr), 0.5)
+            filled, _ = metrics.plugin_impute(ds, table, k=3)
+            return table.scores.tobytes(), [X.tobytes() for X in filled.views]
+
+        got = run()
+        monkeypatch.setattr(scoring, "mask_patterns", unique_patterns)
+        monkeypatch.setattr(metrics, "mask_patterns", unique_patterns)
+        assert run() == got

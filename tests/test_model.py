@@ -15,6 +15,8 @@ from imvc.model import (
     encode_all,
     encode_view,
     aggregate_observed,
+    check_trainable,
+    encoder_pass,
     fuse,
     impute_all,
     load_model,
@@ -786,6 +788,90 @@ class TestLossGradients:
         eps = rng.standard_normal((ds.n_samples, model.d_z))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError):
             loss_and_grads(model, ds, np.arange(ds.n_samples), eps)
+
+
+def loss_bits(terms, grads):
+    """Every loss term and gradient as bytes, so -0.0 differs from +0.0."""
+    return [np.array(list(terms.as_dict().values())).tobytes()] + [g.tobytes() for g in grads]
+
+
+def pass_bits(encoded):
+    return [[rows.tobytes(), out.tobytes(), cache[1].tobytes()]
+            + [a.tobytes() for a in cache[0]] for rows, out, cache in encoded]
+
+
+class TestEncoderPass:
+    """An ``encoder_pass`` handed to ``loss_and_grads`` or ``encode_all``
+    replaces their own encoder runs bit for bit and is only read, so a
+    retried epoch can read it again."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 5.0])
+    @pytest.mark.parametrize("with_imputations", [False, True], ids=["observed", "imputed"])
+    @pytest.mark.parametrize("batch_kind", ["full", "no-view-0-rows"])
+    def test_loss_reads_pass_bit_for_bit(self, monkeypatch, alpha, with_imputations,
+                                         batch_kind):
+        ds, model, eps, imput = make_loss_instance(35, with_imputations=with_imputations)
+        batch = np.arange(ds.n_samples)
+        if batch_kind != "full":  # no sample of this batch observes view 0
+            batch = np.flatnonzero(ds.mask[:, 0] == 0)
+            assert batch.size > 1
+        eps = eps[batch]
+        want = loss_bits(*loss_and_grads(model, ds, batch, eps, alpha=alpha,
+                                         imputations=imput))
+        encoded = encoder_pass(model, ds, batch)
+        before = pass_bits(encoded)
+        for net in model.encoders:  # the loss must not encode again
+            monkeypatch.setattr(net, "forward", None)
+        for _ in range(2):
+            got = loss_and_grads(model, ds, batch, eps, alpha=alpha, imputations=imput,
+                                 encoded=encoded)
+            assert loss_bits(*got) == want
+        assert pass_bits(encoded) == before
+
+    def test_encode_all_reads_pass(self, monkeypatch):
+        ds = small_dataset(61, n=30)
+        model = small_model(ds, 61)
+        want = encode_all(model, ds)
+        encoded = encoder_pass(model, ds, np.arange(ds.n_samples))
+        for net in model.encoders:
+            monkeypatch.setattr(net, "forward", None)
+        got = encode_all(model, ds, encoded)
+        for a, b in zip(got, want):
+            assert a.mu.tobytes() == b.mu.tobytes() and a.var.tobytes() == b.var.tobytes()
+
+
+class TestCheckTrainable:
+    """``check_trainable`` names the first non-finite entry in
+    ``parameters()`` order, however many arrays hold one, and a prior
+    weight that has underflowed to 0."""
+
+    @pytest.mark.parametrize("poison,first", [
+        # {parameter index: [(flat index, value), ...]}
+        ({3: [(2, np.nan)], 10: [(0, np.inf)]}, np.nan),
+        ({0: [(5, -np.inf), (7, np.nan)], 1: [(0, np.nan)], 20: [(1, np.nan)]}, -np.inf),
+        ({-2: [(1, np.inf)], -1: [(0, np.nan)], 6: [(3, -np.inf)]}, -np.inf),
+        ({-2: [(1, np.inf)], -1: [(0, np.nan)]}, np.inf),
+    ], ids=["nan-then-inf", "inf-first-in-array", "net-before-mixture", "mixture-means"])
+    def test_first_nonfinite_in_parameter_order(self, poison, first):
+        ds = small_dataset(62)
+        model = small_model(ds, 62)
+        check_trainable(model)  # a finite model passes
+        params = model.parameters()
+        for i, cells in poison.items():
+            for j, value in cells:
+                params[i].flat[j] = value
+        with pytest.raises(NonFiniteLossError) as info:
+            check_trainable(model)
+        assert info.value.term == "parameters"
+        assert np.array_equal(info.value.value, first, equal_nan=True)
+
+    def test_underflowing_prior_weight(self):
+        ds = small_dataset(63)
+        model = small_model(ds, 63)
+        model.pi_logits[0] += 1e4  # the other prior weights underflow to 0
+        with pytest.raises(NonFiniteLossError) as info:
+            check_trainable(model)
+        assert info.value.term == "log_pi" and info.value.value == -np.inf
 
 
 def test_model_checkpoint_roundtrip(tmp_path):

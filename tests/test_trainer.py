@@ -392,6 +392,36 @@ class TestDivergence:
         assert starts == [(lr, True), (lr / 2, True), (lr / 4, True), (lr / 8, True)]
 
 
+def test_minibatch_prior_underflow_retried(monkeypatch):
+    # a mid-epoch step that underflows a prior weight makes the next batch's
+    # loss non-finite, so the epoch is retried at half the learning rate
+    # (it used to raise ValueError from building a validated prior)
+    real_build, real_step = trainer.build_pretrained, trainer.Adam.step
+    trained = []
+    lrs = []
+
+    def build_pretrained(*args, **kwargs):
+        out = real_build(*args, **kwargs)
+        trained.append(out[0])
+        return out
+
+    def step(self, params, grads):
+        real_step(self, params, grads)
+        if trained:
+            lrs.append(self.lr)
+            if len(lrs) == 2:
+                spread_pi_logits(trained[0])
+
+    monkeypatch.setattr(trainer, "build_pretrained", build_pretrained)
+    monkeypatch.setattr(trainer.Adam, "step", step)
+    config = quick_config(seed=14, batch_size=16, train_epochs=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = fit(masked_synthetic(19), config)
+    lr = config.train_lr
+    assert lrs == [lr, lr] + [lr / 2] * 10  # 5 batches per epoch
+    assert len(res.history) == config.train_epochs
+
+
 class TestOneImputationPerState:
     """``impute_all`` runs once per parameter state: before the first epoch
     and after each epoch. The next epoch's loss, the logged eval, the final
@@ -434,6 +464,72 @@ class TestOneImputationPerState:
             assert lrs[:poisoned_step + 1] == [lr] * poisoned_step + [lr / 2]
             assert len(lrs) == config.train_epochs + 1
         assert len(calls) == config.train_epochs + 1
+
+
+class TestOneEncoderPassPerState:
+    """A full-batch fit runs each encoder once per parameter state, before
+    the first epoch and after each epoch, and its losses read that pass; a
+    retried epoch reads the restored state's pass. Mini-batches encode
+    their own rows in every loss."""
+
+    @staticmethod
+    def counted_fit(monkeypatch, config, poisoned_step=None):
+        real_build, real_step, real_loss = (
+            trainer.build_pretrained, trainer.Adam.step, M.loss_and_grads)
+        trained = []  # the model, once pretraining is over
+        in_loss = []
+        runs = {"outside": [], "loss": []}  # encoder index of each forward
+        steps = []
+
+        def build_pretrained(*args, **kwargs):
+            out = real_build(*args, **kwargs)
+            model = out[0]
+            trained.append(model)
+            for v, net in enumerate(model.encoders):
+                def forward(X, v=v, real=net.forward):
+                    runs["loss" if in_loss else "outside"].append(v)
+                    return real(X)
+                monkeypatch.setattr(net, "forward", forward)
+            return out
+
+        def loss_and_grads(*args, **kwargs):
+            in_loss.append(None)
+            try:
+                return real_loss(*args, **kwargs)
+            finally:
+                in_loss.pop()
+
+        def step(self, params, grads):
+            real_step(self, params, grads)
+            if trained:
+                steps.append(self.lr)
+                if len(steps) == poisoned_step:
+                    nan_weight(trained[0])
+
+        monkeypatch.setattr(trainer, "build_pretrained", build_pretrained)
+        monkeypatch.setattr(trainer.Adam, "step", step)
+        monkeypatch.setattr(M, "loss_and_grads", loss_and_grads)
+        res = fit(masked_synthetic(19), config)
+        return res, runs, steps
+
+    @pytest.mark.parametrize("poisoned_step", [None, 3], ids=["clean", "retried"])
+    def test_full_batch(self, monkeypatch, poisoned_step):
+        config = quick_config(seed=14)
+        res, runs, steps = self.counted_fit(monkeypatch, config, poisoned_step)
+        expected = config.train_epochs if poisoned_step is None else config.train_epochs + 1
+        assert len(steps) == expected
+        assert runs["loss"] == []
+        for v in range(3):
+            assert runs["outside"].count(v) == config.train_epochs + 1
+        assert len(res.history) == config.train_epochs
+
+    def test_minibatch(self, monkeypatch):
+        config = quick_config(seed=12, batch_size=16, train_epochs=3)
+        _, runs, steps = self.counted_fit(monkeypatch, config)
+        assert len(steps) == config.train_epochs * 5  # 80 samples, batches of 16
+        for v in range(3):
+            assert runs["loss"].count(v) == len(steps)
+            assert runs["outside"].count(v) == config.train_epochs + 1
 
 
 class TestEpochHistory:
