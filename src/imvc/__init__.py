@@ -23,7 +23,6 @@ from .model import (
     MixturePrior,
     NonFiniteLossError,
     aggregate_observed,
-    encode_view,
     fuse,
     impute_all,
     loss_and_grads,

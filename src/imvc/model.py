@@ -15,7 +15,8 @@ of (N, d_z) arrays (summed precisions and summed precision-weighted
 means). An observed view's expert lives only on the rows that observe it,
 as ``(rows, mu, prec)``. Every fusion goes through ``fuse``, which starts
 from the imputed sums and adds the observed views' experts on their rows,
-in view index order.
+in view index order. ``encoder_pass`` stacks every view's experts into
+one array, over which the loss forms their terms at once.
 
 The training loss is the negative ELBO (reconstruction over observed
 views, mixture KL, categorical KL) plus ``alpha`` times a coherence
@@ -213,28 +214,39 @@ class DmgmmModel:
         self.prior_rho[...] = _inv_softplus(np.maximum(prior.var - VAR_MIN, 1e-12))
 
 
-def encode_view(model, v, X):
-    """Posterior parameters for rows observed in view v."""
-    out, _ = model.encoders[v].forward(X)
-    d = model.d_z
-    return GaussianPosterior(mu=out[:, :d], var=out[:, d:] ** 2)
+@dataclass(frozen=True)
+class EncoderPass:
+    """Every view's encoder run on the batch rows that observe the view,
+    stacked in view order: stack row j is batch row ``rows[j]``, view v's
+    stack rows are ``slices[v]``, ``a_out`` and ``out`` are the stacked
+    trunk and head outputs ``[mu | sigma]``, and ``inputs[v]`` is view v's
+    trunk layer inputs (its rows' features first). A pass is only read,
+    never written, so one pass of a parameter state can serve
+    ``encode_all`` and ``loss_and_grads`` alike."""
+
+    rows: np.ndarray
+    slices: list
+    a_out: np.ndarray
+    out: np.ndarray
+    inputs: list
 
 
 def encoder_pass(model, dataset, batch_idx):
-    """Every view's encoder run on the rows of ``batch_idx`` that observe
-    the view: one ``(rows, out, cache)`` per view, with ``rows`` indexing
-    into ``batch_idx``, ``out`` the encoder's ``[mu | sigma]`` on those rows
-    and ``cache`` its ``Mlp.forward`` cache (whose first layer input is the
-    rows' features). A pass is only read, never written, so one pass of a
-    parameter state can serve ``encode_all`` and ``loss_and_grads`` alike.
+    """The ``EncoderPass`` of the rows ``batch_idx``. The heads are applied
+    once to the whole stack, as every encoder of ``DmgmmModel.build`` has
+    the same ``[identity d_z | softplus d_z]`` layout; each element sees the
+    operations of its own encoder's ``Mlp.forward``.
     """
     obs = dataset.mask[batch_idx].astype(bool)
-    enc = []
-    for v in range(model.n_views):
-        rows = np.flatnonzero(obs[:, v])
-        out, cache = model.encoders[v].forward(dataset.views[v][batch_idx[rows]])
-        enc.append((rows, out, cache))
-    return enc
+    rows = [np.flatnonzero(obs[:, v]) for v in range(model.n_views)]
+    trunks = [net.trunk_forward(X[batch_idx[r]])
+              for net, X, r in zip(model.encoders, dataset.views, rows)]
+    bounds = np.cumsum([0] + [r.size for r in rows]).tolist()
+    a_out = np.concatenate([a for a, _ in trunks])
+    return EncoderPass(rows=np.concatenate(rows),
+                       slices=[slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+                       a_out=a_out, out=model.encoders[0].apply_heads(a_out),
+                       inputs=[ins for _, ins in trunks])
 
 
 def encode_all(model, dataset, encoded=None):
@@ -251,11 +263,12 @@ def encode_all(model, dataset, encoded=None):
     if encoded is None:
         encoded = encoder_pass(model, dataset, np.arange(n))
     posts = []
-    for rows, out, _ in encoded:
+    for sl in encoded.slices:
+        rows = encoded.rows[sl]
         mu = np.zeros((n, d))
         var = np.ones((n, d))
-        mu[rows] = out[:, :d]
-        var[rows] = out[:, d:] ** 2
+        mu[rows] = encoded.out[sl, :d]
+        var[rows] = encoded.out[sl, d:] ** 2
         posts.append(GaussianPosterior(mu=mu, var=var))
     return posts
 
@@ -545,20 +558,21 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
     batch_idx = np.asarray(batch_idx, dtype=np.int64)
     B = batch_idx.size
     d = model.d_z
-    obs = dataset.mask[batch_idx].astype(bool)
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (B, d):
         raise ValueError("noise shape must be (batch, d_z)")
     c = 1.0 / B
 
-    # ---- encode: each view's expert lives on the batch rows observing it ----
+    # ---- encode: the experts of every view, stacked; stack row j lies on
+    # batch row R[j], and view v's experts are the stack rows slices[v] ----
     if encoded is None:
         encoded = encoder_pass(model, dataset, batch_idx)
-    enc = []  # (rows, X, encoder cache, mu, sd, var, prec) per view
-    for rows, out, cache in encoded:
-        sd = out[:, d:]
-        var = sd**2
-        enc.append((rows, cache[0][0], cache, out[:, :d], sd, var, 1.0 / var))
+    R, slices = encoded.rows, encoded.slices
+    view_rows = [R[sl] for sl in slices]
+    mu = encoded.out[:, :d]
+    sd = encoded.out[:, d:]
+    var = sd**2
+    prec = 1.0 / var
 
     # ---- product of experts: constant imputed experts, then observed ----
     if imputations is None:
@@ -566,7 +580,8 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
         imputed = (zero, zero)
     else:
         imputed = tuple(a[batch_idx] for a in imputations)
-    mu_agg, var_agg = fuse([(rows, mu, prec) for rows, _, _, mu, _, _, prec in enc], imputed)
+    mu_agg, var_agg = fuse([(rows, mu[sl], prec[sl]) for rows, sl in zip(view_rows, slices)],
+                           imputed)
     sd_agg = np.sqrt(var_agg)
     z = mu_agg + sd_agg * eps
 
@@ -597,11 +612,11 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
     t2 = (gamma * kl_k).sum(axis=1)
     t3 = (gamma * (log_gamma - log_pi[None, :])).sum(axis=1)
 
-    # ---- reconstruction and coherence over each view's rows ----
+    # ---- reconstruction over each view's rows; coherence per expert ----
     recon = np.zeros(B)
-    ch = np.zeros(B)
     dec = []  # (decoder cache, output) per view
-    for v, (rows, X, _, mu_v, _, var_v, _) in enumerate(enc):
+    for v, rows in enumerate(view_rows):
+        X = encoded.inputs[v][0]
         out, cache = model.decoders[v].forward(z[rows])
         if model.likelihoods[v] == "gaussian":
             d_v = X.shape[1]
@@ -612,12 +627,12 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
             nll = (softplus(t) - X * t).sum(axis=1)
         recon[rows] += nll
         dec.append((cache, out))
-        ch[rows] += 0.5 * (
-            np.log(var_v) - np.log(var_agg[rows])
-            + (var_agg[rows] + (mu_agg[rows] - mu_v) ** 2) / var_v
-            - 1.0
-        ).sum(axis=1)
-    nobs = obs.sum(axis=1)
+    ch_R = 0.5 * (np.log(var) - np.log(var_agg[R])
+                  + (var_agg[R] + (mu_agg[R] - mu) ** 2) / var - 1.0).sum(axis=1)
+    ch = np.zeros(B)
+    for rows, sl in zip(view_rows, slices):
+        ch[rows] += ch_R[sl]
+    nobs = np.bincount(R, minlength=B)  # the views each batch row observes
     ch /= nobs
 
     terms = LossTerms(
@@ -668,7 +683,7 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
     g_z = np.zeros((B, d))
     dec_grads = []
     for v, (cache, out) in enumerate(dec):
-        rows, X = enc[v][:2]
+        rows, X = view_rows[v], encoded.inputs[v][0]
         if model.likelihoods[v] == "gaussian":
             d_v = X.shape[1]
             m_x, s_x = out[:, :d_v], out[:, d_v:]
@@ -680,46 +695,46 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
         gv, dz_rows = model.decoders[v].backward(cache, d_out)
         g_z[rows] += dz_rows
         dec_grads.append(gv)
+    del dec, cache, out, d_out  # the decoders' forward results are not read again
     g_z += g_prior
 
     # reparameterized sample
     d_mu_agg += g_z
     d_var_agg += g_z * eps / (2.0 * sd_agg)
+    # the fused posterior at each expert's row, gathered only now so that
+    # no stack-sized array is held through the (B, K, d) terms above
+    m_R, v_R = mu_agg[R], var_agg[R]
+    dev = m_R - mu
 
-    # coherence through the fused posterior, from every view before any
+    # coherence through the fused posterior, added view by view before any
     # expert's backward reads the fused gradients
     coef = (c * alpha / nobs)[:, None]
     if alpha != 0.0:
-        for rows, _, _, mu_v, _, var_v, _ in enc:
-            d_mu_agg[rows] += coef[rows] * (mu_agg[rows] - mu_v) / var_v
-            d_var_agg[rows] += coef[rows] * 0.5 * (1.0 / var_v - 1.0 / var_agg[rows])
+        c_R = coef[R]
+        dm_coh = c_R * dev / var
+        dv_coh = c_R * 0.5 * (1.0 / var - 1.0 / v_R)
+        for rows, sl in zip(view_rows, slices):
+            d_mu_agg[rows] += dm_coh[sl]
+            d_var_agg[rows] += dv_coh[sl]
 
-    # product-of-experts backward into each view's expert on its rows, plus
-    # the coherence term's direct path
-    enc_grads = []
-    for v, (rows, _, cache, mu_v, sd_v, var_v, p_v) in enumerate(enc):
-        dm_agg, dv_agg = d_mu_agg[rows], d_var_agg[rows]
-        m_agg, v_agg = mu_agg[rows], var_agg[rows]
-        d_m_v = dm_agg * p_v * v_agg
-        d_p = dm_agg * (mu_v - m_agg) * v_agg - dv_agg * v_agg**2
-        d_var_v = -d_p * p_v**2
-        if alpha != 0.0:
-            cf = coef[rows]
-            d_m_v += cf * (mu_v - m_agg) / var_v
-            d_var_v += cf * 0.5 * (1.0 / var_v - v_agg / var_v**2
-                                   - (m_agg - mu_v) ** 2 / var_v**2)
-        d_sd_v = d_var_v * 2.0 * sd_v
-        d_out = np.concatenate([d_m_v, d_sd_v], axis=1)
-        gv, _ = model.encoders[v].backward(cache, d_out, input_grad=False)
-        enc_grads.append(gv)
+    # product-of-experts backward into every expert, plus the coherence
+    # term's direct path; then the encoder heads' slope once on the stack
+    # and each view's trunk on its slice
+    dm_R, dv_R = d_mu_agg[R], d_var_agg[R]
+    own = mu - m_R
+    d_m = dm_R * prec * v_R
+    d_p = dm_R * own * v_R - dv_R * v_R**2
+    d_var = -d_p * prec**2
+    if alpha != 0.0:
+        d_m += c_R * own / var
+        d_var += c_R * 0.5 * (1.0 / var - v_R / var**2 - dev**2 / var**2)
+    da = np.concatenate([d_m, d_var * 2.0 * sd], axis=1)
+    model.encoders[0].apply_head_slope(encoded.a_out, da)
+    enc_grads = [net.trunk_backward(ins, da[sl], input_grad=False)[0]
+                 for net, ins, sl in zip(model.encoders, encoded.inputs, slices)]
 
-    grads = []
-    for gv in enc_grads:
-        grads.extend(gv)
-    for gv in dec_grads:
-        grads.extend(gv)
-    grads.extend([d_pi_logits, d_mu_k, d_var_k * sigmoid(model.prior_rho)])
-    return terms, grads
+    grads = [g for gv in enc_grads + dec_grads for g in gv]
+    return terms, grads + [d_pi_logits, d_mu_k, d_var_k * sigmoid(model.prior_rho)]
 
 
 MODEL_MAGIC = "imvc-model-v2"

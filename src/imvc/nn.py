@@ -11,10 +11,10 @@ of output heads applied to column slices of the final linear layer:
 Forward passes cache what backward needs; backward returns gradients in
 the same flat order as ``Mlp.parameters()``. Each pass is a trunk (the
 ReLU layers and the final linear map, ``trunk_forward``/``trunk_backward``)
-plus the heads (``apply_heads`` and its slope), so a caller that reads only
-identity-head columns can run the trunk alone. Networks have no file
-format of their own: ``model.save_model`` writes a model's networks as
-part of ``DmgmmModel.parameters()``.
+plus the heads (``apply_heads``, ``apply_head_slope``), so a caller that
+reads only identity-head columns can run the trunk alone. Networks have
+no file format of their own: ``model.save_model`` writes a model's
+networks as part of ``DmgmmModel.parameters()``.
 """
 
 from __future__ import annotations
@@ -149,6 +149,12 @@ class Mlp:
                 np.multiply(da, h_in > 0, out=da)
         return grads, (da @ self.weights[0].T if input_grad else None)
 
+    def apply_head_slope(self, a_out, da):
+        """Multiply ``da`` in place by the heads' slope at ``a_out``."""
+        # identity heads have unit slope, softplus heads slope sigmoid
+        for sl in self._softplus_slices:
+            da[:, sl] *= sigmoid(a_out[:, sl])
+
     def backward(self, cache, d_out, input_grad=True):
         """Backprop a gradient w.r.t. the head outputs.
 
@@ -158,11 +164,9 @@ class Mlp:
         d_out = np.asarray(d_out, dtype=np.float64)
         if d_out.shape != a_out.shape:
             raise ValueError("gradient shape does not match cached forward")
-        # identity heads have unit slope, softplus heads slope sigmoid; the
-        # copy leaves the caller's array unwritten
+        # the copy leaves the caller's array unwritten
         da = d_out.copy(order="K")
-        for sl in self._softplus_slices:
-            da[:, sl] *= sigmoid(a_out[:, sl])
+        self.apply_head_slope(a_out, da)
         return self.trunk_backward(inputs, da, input_grad)
 
 

@@ -91,12 +91,12 @@ def pretrain(model, dataset, config):
     variance head involvement). H[v] rows are valid only where view v is
     observed. Raises ValueError when a view has no observed sample.
 
-    The loss reads only identity-head columns (encoder means, Gaussian
-    decoder means, Bernoulli logits), so each epoch runs the networks'
-    trunk passes alone and forms no encoder input gradient. The GEMMs keep
-    their full width, zero scale-head columns included, so every result
-    equals that of the full ``Mlp.forward``/``Mlp.backward`` passes bit for
-    bit.
+    The loss and the returned latents read only identity-head columns
+    (encoder means, Gaussian decoder means, Bernoulli logits), so the
+    networks run their trunk passes alone and form no encoder input
+    gradient. The GEMMs keep their full width, zero scale-head columns
+    included, so every result equals that of the full
+    ``Mlp.forward``/``Mlp.backward`` passes bit for bit.
     """
     dataset.check_views_observed()
     params = []
@@ -144,9 +144,7 @@ def pretrain(model, dataset, config):
     latents = []
     for v in range(model.n_views):
         H = np.zeros((dataset.n_samples, d))
-        rows = obs_rows[v]
-        if rows.size:
-            H[rows] = M.encode_view(model, v, obs_X[v]).mu
+        H[obs_rows[v]] = model.encoders[v].trunk_forward(obs_X[v])[0][:, :d]
         latents.append(H)
     return latents, losses
 
@@ -388,7 +386,7 @@ def fit(dataset, config, selective_imputation=True):
     # posts holds the posteriors of the current parameters throughout and
     # imput the experts imputed from them, which a retried epoch reuses; so
     # does encoded, the encoder pass of a full-batch fit (the one batch's
-    # encoder forwards), while mini-batches encode their own rows
+    # encoder runs), while mini-batches encode their own rows
     imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
     while epoch < config.train_epochs:
         try:

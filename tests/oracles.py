@@ -27,7 +27,10 @@ that ``scoring.info_scores`` streams by query blocks.
 observed views. ``pretrain_reference`` is ``trainer.pretrain`` run through
 the full ``Mlp.forward``/``Mlp.backward`` passes: both heads evaluated,
 the scale heads' zero gradients scaled by their slope, and an input
-gradient formed for every network.
+gradient formed for every network. ``loss_and_grads_per_view`` is
+``model.loss_and_grads`` one view at a time, each view's encoder run
+through its own ``Mlp.forward``/``Mlp.backward``, where the library
+stacks every view's expert rows into one array.
 """
 
 import math
@@ -35,8 +38,8 @@ import math
 import numpy as np
 
 from imvc.data import MultiViewDataset
-from imvc.model import (GaussianPosterior, NonFiniteLossError, aggregate_observed,
-                        encode_view, fuse, w2_distance)
+from imvc.model import (LOG_2PI, VAR_MIN, GaussianPosterior, LossTerms, NonFiniteLossError,
+                        aggregate_observed, fuse, w2_distance)
 from imvc.nn import SIGMA_MIN, Adam, sigmoid, softplus
 from imvc.scoring import InfoTable, view_distances
 
@@ -432,6 +435,180 @@ def pretrain_reference(model, dataset, config):
     for v in range(model.n_views):
         H = np.zeros((dataset.n_samples, d))
         if obs_rows[v].size:
-            H[obs_rows[v]] = encode_view(model, v, obs_X[v]).mu
+            H[obs_rows[v]] = model.encoders[v].forward(obs_X[v])[0][:, :d]
         latents.append(H)
     return latents, losses
+
+
+def loss_and_grads_per_view(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
+                            encoded=None):
+    """``model.loss_and_grads`` one view at a time: each view's encoder is
+    run on its batch rows through the full ``Mlp.forward``/``Mlp.backward``
+    passes, and its expert, coherence and expert-backward terms are formed
+    on those rows alone. ``encoded`` is ignored (the encoders always run).
+    Returns (LossTerms, grads) as ``loss_and_grads`` does."""
+    batch_idx = np.asarray(batch_idx, dtype=np.int64)
+    B = batch_idx.size
+    d = model.d_z
+    obs = dataset.mask[batch_idx].astype(bool)
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != (B, d):
+        raise ValueError("noise shape must be (batch, d_z)")
+    c = 1.0 / B
+
+    enc = []  # (rows, X, encoder cache, mu, sd, var, prec) per view
+    for v in range(model.n_views):
+        rows = np.flatnonzero(obs[:, v])
+        X = dataset.views[v][batch_idx[rows]]
+        out, cache = model.encoders[v].forward(X)
+        sd = out[:, d:]
+        var = sd**2
+        enc.append((rows, X, cache, out[:, :d], sd, var, 1.0 / var))
+
+    if imputations is None:
+        zero = np.zeros((B, d))
+        imputed = (zero, zero)
+    else:
+        imputed = tuple(a[batch_idx] for a in imputations)
+    mu_agg, var_agg = fuse([(rows, mu, prec) for rows, _, _, mu, _, _, prec in enc], imputed)
+    sd_agg = np.sqrt(var_agg)
+    z = mu_agg + sd_agg * eps
+
+    pi = model.pi
+    log_pi = np.log(pi)
+    mu_k = model.prior_mu
+    var_k = softplus(model.prior_rho) + VAR_MIN
+    diff = z[:, None, :] - mu_k[None]
+    diff2 = diff**2
+    m_diff = mu_agg[:, None, :] - mu_k[None]
+    spread = var_agg[:, None, :] + m_diff**2
+    ll = -0.5 * (
+        (LOG_2PI + np.log(var_k)).sum(axis=-1)[None, :]
+        + (diff2 / var_k[None]).sum(axis=-1)
+    )
+    logits = log_pi[None, :] + ll
+    log_gamma = logits - logits.max(axis=1, keepdims=True)
+    log_gamma = log_gamma - np.log(np.exp(log_gamma).sum(axis=1, keepdims=True))
+    gamma = np.exp(log_gamma)
+
+    kl_k = 0.5 * (
+        np.log(var_k).sum(axis=-1)[None, :]
+        - np.log(var_agg).sum(axis=-1)[:, None]
+        + (spread / var_k[None]).sum(axis=-1)
+        - d
+    )
+    t2 = (gamma * kl_k).sum(axis=1)
+    t3 = (gamma * (log_gamma - log_pi[None, :])).sum(axis=1)
+
+    recon = np.zeros(B)
+    ch = np.zeros(B)
+    dec = []  # (decoder cache, output) per view
+    for v, (rows, X, _, mu_v, _, var_v, _) in enumerate(enc):
+        out, cache = model.decoders[v].forward(z[rows])
+        if model.likelihoods[v] == "gaussian":
+            d_v = X.shape[1]
+            m_x, s_x = out[:, :d_v], out[:, d_v:]
+            nll = 0.5 * (LOG_2PI + 2.0 * np.log(s_x) + ((X - m_x) / s_x) ** 2).sum(axis=1)
+        else:
+            t = out  # identity head: logits
+            nll = (softplus(t) - X * t).sum(axis=1)
+        recon[rows] += nll
+        dec.append((cache, out))
+        ch[rows] += 0.5 * (
+            np.log(var_v) - np.log(var_agg[rows])
+            + (var_agg[rows] + (mu_agg[rows] - mu_v) ** 2) / var_v
+            - 1.0
+        ).sum(axis=1)
+    nobs = obs.sum(axis=1)
+    ch /= nobs
+
+    terms = LossTerms(
+        recon=float(recon.mean()),
+        kl_gauss=float(t2.mean()),
+        kl_cat=float(t3.mean()),
+        coherence=float(ch.mean()),
+        alpha=float(alpha),
+    )
+    for name, value in (("reconstruction", terms.recon), ("gaussian_kl", terms.kl_gauss),
+                        ("categorical_kl", terms.kl_cat), ("coherence", terms.coherence)):
+        if not math.isfinite(value):
+            raise NonFiniteLossError(name, value)
+
+    d_gamma = c * (kl_k + log_gamma - log_pi[None, :] + 1.0)
+    d_logits = gamma * (d_gamma - (gamma * d_gamma).sum(axis=1, keepdims=True))
+    inv_vk = 1.0 / var_k
+    inv_vk2 = inv_vk**2
+    diff_iv = diff * inv_vk[None]
+    g_prior = -np.einsum("bk,bkd->bd", d_logits, diff_iv)
+
+    d_log_pi = d_logits.sum(axis=0) - c * gamma.sum(axis=0)
+    d_pi_logits = d_log_pi - pi * d_log_pi.sum()
+
+    d_mu_k = np.einsum("bk,bkd->kd", d_logits, diff_iv)
+    d_var_k = np.einsum(
+        "bk,bkd->kd", d_logits, -0.5 * (inv_vk[None] - diff2 * inv_vk2[None])
+    )
+
+    w_bk = c * gamma
+    mu_diff = m_diff * inv_vk[None]
+    d_mu_agg = np.einsum("bk,bkd->bd", w_bk, mu_diff)
+    d_var_agg = 0.5 * (
+        np.einsum("bk,kd->bd", w_bk, inv_vk) - w_bk.sum(axis=1)[:, None] / var_agg
+    )
+    d_mu_k += np.einsum("bk,bkd->kd", w_bk, -mu_diff)
+    d_var_k += np.einsum(
+        "bk,bkd->kd",
+        w_bk,
+        0.5 * (inv_vk[None] - spread * inv_vk2[None]),
+    )
+
+    g_z = np.zeros((B, d))
+    dec_grads = []
+    for v, (cache, out) in enumerate(dec):
+        rows, X = enc[v][:2]
+        if model.likelihoods[v] == "gaussian":
+            d_v = X.shape[1]
+            m_x, s_x = out[:, :d_v], out[:, d_v:]
+            d_m = c * (m_x - X) / s_x**2
+            d_s = c * (1.0 / s_x - (X - m_x) ** 2 / s_x**3)
+            d_out = np.concatenate([d_m, d_s], axis=1)
+        else:
+            d_out = c * (sigmoid(out) - X)
+        gv, dz_rows = model.decoders[v].backward(cache, d_out)
+        g_z[rows] += dz_rows
+        dec_grads.append(gv)
+    g_z += g_prior
+
+    d_mu_agg += g_z
+    d_var_agg += g_z * eps / (2.0 * sd_agg)
+
+    coef = (c * alpha / nobs)[:, None]
+    if alpha != 0.0:
+        for rows, _, _, mu_v, _, var_v, _ in enc:
+            d_mu_agg[rows] += coef[rows] * (mu_agg[rows] - mu_v) / var_v
+            d_var_agg[rows] += coef[rows] * 0.5 * (1.0 / var_v - 1.0 / var_agg[rows])
+
+    enc_grads = []
+    for v, (rows, _, cache, mu_v, sd_v, var_v, p_v) in enumerate(enc):
+        dm_agg, dv_agg = d_mu_agg[rows], d_var_agg[rows]
+        m_agg, v_agg = mu_agg[rows], var_agg[rows]
+        d_m_v = dm_agg * p_v * v_agg
+        d_p = dm_agg * (mu_v - m_agg) * v_agg - dv_agg * v_agg**2
+        d_var_v = -d_p * p_v**2
+        if alpha != 0.0:
+            cf = coef[rows]
+            d_m_v += cf * (mu_v - m_agg) / var_v
+            d_var_v += cf * 0.5 * (1.0 / var_v - v_agg / var_v**2
+                                   - (m_agg - mu_v) ** 2 / var_v**2)
+        d_sd_v = d_var_v * 2.0 * sd_v
+        d_out = np.concatenate([d_m_v, d_sd_v], axis=1)
+        gv, _ = model.encoders[v].backward(cache, d_out, input_grad=False)
+        enc_grads.append(gv)
+
+    grads = []
+    for gv in enc_grads:
+        grads.extend(gv)
+    for gv in dec_grads:
+        grads.extend(gv)
+    grads.extend([d_pi_logits, d_mu_k, d_var_k * sigmoid(model.prior_rho)])
+    return terms, grads

@@ -13,7 +13,6 @@ from imvc.model import (
     MixturePrior,
     NonFiniteLossError,
     encode_all,
-    encode_view,
     aggregate_observed,
     check_trainable,
     encoder_pass,
@@ -33,6 +32,7 @@ from oracles import (
     impute_all_bruteforce,
     impute_distribution,
     kl_diag_gaussian,
+    loss_and_grads_per_view,
     observed_views,
 )
 
@@ -93,25 +93,31 @@ class TestEncode:
             w[...] = 0.0
         for b in model.encoders[0].biases:
             b[...] = 0.0
-        p = encode_view(model, 0, ds.views[0][:4])
-        np.testing.assert_array_equal(p.mu, 0.0)
+        rows = ds.observed(0)
+        p = encode_all(model, ds)[0]
+        np.testing.assert_array_equal(p.mu[rows], 0.0)
         expected_sd = np.log(2.0) + SIGMA_MIN  # softplus(0) + floor
-        np.testing.assert_allclose(p.var, expected_sd**2)
+        np.testing.assert_allclose(p.var[rows], expected_sd**2)
 
     def test_identical_rows_identical_posteriors(self):
         ds = small_dataset(1)
+        views = [X.copy() for X in ds.views]
+        views[0][:] = views[0][:1]
+        ds = MultiViewDataset(views=views, mask=ds.mask)
         model = small_model(ds, 1)
-        X = np.tile(ds.views[0][:1], (3, 1))
-        p = encode_view(model, 0, X)
-        assert (p.mu == p.mu[0]).all() and (p.var == p.var[0]).all()
+        rows = ds.observed(0)
+        assert rows.size > 1
+        p = encode_all(model, ds)[0]
+        mu, var = p.mu[rows], p.var[rows]
+        assert (mu == mu[0]).all() and (var == var[0]).all()
 
     def test_matches_independent_forward(self):
         ds = small_dataset(2)
         model = small_model(ds, 2)
-        X = ds.views[1][:5]
-        p = encode_view(model, 1, X)
+        rows = ds.observed(1)
+        p = encode_all(model, ds)[1]
         # straightforward re-evaluation
-        h = X
+        h = ds.views[1][rows]
         net = model.encoders[1]
         for l in range(net.n_layers - 1):
             h = np.maximum(h @ net.weights[l] + net.biases[l], 0.0)
@@ -119,8 +125,8 @@ class TestEncode:
         d = model.d_z
         mu = a[:, :d]
         sd = np.log1p(np.exp(-np.abs(a[:, d:]))) + np.maximum(a[:, d:], 0) + SIGMA_MIN
-        np.testing.assert_allclose(p.mu, mu, atol=1e-12)
-        np.testing.assert_allclose(p.var, sd**2, atol=1e-12)
+        np.testing.assert_allclose(p.mu[rows], mu, atol=1e-12)
+        np.testing.assert_allclose(p.var[rows], sd**2, atol=1e-12)
 
 
 class TestPoe:
@@ -796,8 +802,16 @@ def loss_bits(terms, grads):
 
 
 def pass_bits(encoded):
-    return [[rows.tobytes(), out.tobytes(), cache[1].tobytes()]
-            + [a.tobytes() for a in cache[0]] for rows, out, cache in encoded]
+    return ([encoded.rows.tobytes(), encoded.a_out.tobytes(), encoded.out.tobytes(),
+             [(sl.start, sl.stop) for sl in encoded.slices]]
+            + [[a.tobytes() for a in ins] for ins in encoded.inputs])
+
+
+def disable_encoders(monkeypatch, model):
+    """Make every encoder run (a trunk pass or a full forward) raise."""
+    for net in model.encoders:
+        monkeypatch.setattr(net, "trunk_forward", None)
+        monkeypatch.setattr(net, "forward", None)
 
 
 class TestEncoderPass:
@@ -820,8 +834,7 @@ class TestEncoderPass:
                                          imputations=imput))
         encoded = encoder_pass(model, ds, batch)
         before = pass_bits(encoded)
-        for net in model.encoders:  # the loss must not encode again
-            monkeypatch.setattr(net, "forward", None)
+        disable_encoders(monkeypatch, model)  # the loss must not encode again
         for _ in range(2):
             got = loss_and_grads(model, ds, batch, eps, alpha=alpha, imputations=imput,
                                  encoded=encoded)
@@ -833,11 +846,62 @@ class TestEncoderPass:
         model = small_model(ds, 61)
         want = encode_all(model, ds)
         encoded = encoder_pass(model, ds, np.arange(ds.n_samples))
-        for net in model.encoders:
-            monkeypatch.setattr(net, "forward", None)
+        before = pass_bits(encoded)
+        disable_encoders(monkeypatch, model)
         got = encode_all(model, ds, encoded)
         for a, b in zip(got, want):
             assert a.mu.tobytes() == b.mu.tobytes() and a.var.tobytes() == b.var.tobytes()
+        assert pass_bits(encoded) == before
+
+
+def stacked_instance(seed, n_views, binary, batch_kind):
+    """A random model, dataset, batch and noise for comparing the stacked
+    loss with ``loss_and_grads_per_view``; with ``binary`` the last view is
+    Bernoulli. Bumps the seed until a batch of ``batch_kind`` exists."""
+    binary_views = (n_views - 1,) if binary else ()
+    for bump in range(100):
+        s = seed + 1000 * bump
+        ds = small_dataset(s, n=15, dims=(5, 4, 3)[:n_views], rate=0.35,
+                           binary_views=binary_views)
+        rng = np.random.default_rng(s + 5)
+        n = ds.n_samples
+        if batch_kind == "full":
+            batch = np.arange(n)
+        elif batch_kind == "one-row":
+            batch = rng.integers(n, size=1)
+        elif batch_kind == "shuffled":
+            batch = rng.permutation(n)[:n // 2]
+        else:  # no row of the batch observes view 0
+            batch = rng.permutation(np.flatnonzero(ds.mask[:, 0] == 0))
+        if batch.size:
+            model = small_model(ds, s, binary_views=binary_views)
+            eps = rng.standard_normal((batch.size, model.d_z))
+            return ds, model, batch, eps
+    raise AssertionError(f"no {batch_kind} batch found")
+
+
+class TestStackedLoss:
+    """``loss_and_grads`` over the stacked expert array gives the per-view
+    reference's terms and gradients byte for byte, signs of zero included."""
+
+    @pytest.mark.parametrize("n_views,batch_kind", [
+        (n_views, kind) for n_views in (1, 2, 3)
+        for kind in ("full", "one-row", "shuffled", "no-view-0-rows")
+        if n_views > 1 or kind != "no-view-0-rows"])
+    @pytest.mark.parametrize("alpha", [0.0, 5.0])
+    @pytest.mark.parametrize("with_imputations", [False, True], ids=["observed", "imputed"])
+    def test_matches_per_view_reference(self, n_views, batch_kind, alpha, with_imputations):
+        for seed in range(6):
+            ds, model, batch, eps = stacked_instance(
+                100 + seed, n_views, binary=seed % 2 == 1, batch_kind=batch_kind)
+            imput = None
+            if with_imputations:
+                imput = impute_all(ds, selected_table(ds, every=2), encode_all(model, ds), k=3)
+            want = loss_bits(*loss_and_grads_per_view(model, ds, batch, eps, alpha=alpha,
+                                                      imputations=imput))
+            got = loss_bits(*loss_and_grads(model, ds, batch, eps, alpha=alpha,
+                                            imputations=imput))
+            assert got == want
 
 
 class TestCheckTrainable:

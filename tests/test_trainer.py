@@ -6,7 +6,7 @@ from imvc import trainer
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic, normalize
 from imvc.model import VAR_MIN, DmgmmModel
 from imvc.trainer import TrainConfig, fit, init_prior, kmeans_pp, pretrain
-from oracles import AdamPerArray, pretrain_reference
+from oracles import AdamPerArray, loss_and_grads_per_view, pretrain_reference
 
 
 def masked_synthetic(seed=0, n=80, rate=0.3, probs=(0.5, 0.3, 0.1)):
@@ -478,7 +478,7 @@ class TestOneEncoderPassPerState:
             trainer.build_pretrained, trainer.Adam.step, M.loss_and_grads)
         trained = []  # the model, once pretraining is over
         in_loss = []
-        runs = {"outside": [], "loss": []}  # encoder index of each forward
+        runs = {"outside": [], "loss": []}  # encoder index of each trunk pass
         steps = []
 
         def build_pretrained(*args, **kwargs):
@@ -486,10 +486,11 @@ class TestOneEncoderPassPerState:
             model = out[0]
             trained.append(model)
             for v, net in enumerate(model.encoders):
-                def forward(X, v=v, real=net.forward):
+                def trunk_forward(X, v=v, real=net.trunk_forward):
                     runs["loss" if in_loss else "outside"].append(v)
                     return real(X)
-                monkeypatch.setattr(net, "forward", forward)
+                monkeypatch.setattr(net, "trunk_forward", trunk_forward)
+                monkeypatch.setattr(net, "forward", None)  # encoders run trunks only
             return out
 
         def loss_and_grads(*args, **kwargs):
@@ -530,6 +531,22 @@ class TestOneEncoderPassPerState:
         for v in range(3):
             assert runs["loss"].count(v) == len(steps)
             assert runs["outside"].count(v) == config.train_epochs + 1
+
+
+def fit_bits(res):
+    return ([res.gamma.tobytes(), repr(res.history)]
+            + [p.tobytes() for p in res.model.parameters()])
+
+
+def test_minibatch_fit_matches_per_view_loss(monkeypatch):
+    # the stacked loss trains exactly as the per-view reference does
+    config = quick_config(seed=5, batch_size=5, train_epochs=2)
+    ds = masked_synthetic(23)
+    want = fit_bits(fit(ds, config))
+    monkeypatch.setattr(M, "loss_and_grads", loss_and_grads_per_view)
+    res = fit(ds, config)
+    assert res.table.n_selected > 0
+    assert fit_bits(res) == want
 
 
 class TestEpochHistory:
