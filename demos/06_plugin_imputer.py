@@ -16,14 +16,12 @@ from imvc import (
     TrainConfig,
     accuracy,
     fit,
-    info_scores,
     load_dataset,
     normalize,
     plugin_impute,
     select_positions,
-    view_correlation,
 )
-from imvc.trainer import build_pretrained
+from imvc.trainer import build_scored
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
 
@@ -36,8 +34,7 @@ ds = normalize(load_dataset(
 
 cfg = TrainConfig(pretrain_epochs=150, train_epochs=100, d_z=8, hidden=(64, 32),
                   alpha=5.0, seed=0, log_every=1000)
-_, latents, _ = build_pretrained(ds, cfg, ds.K)
-table = info_scores(ds, corr=view_correlation(latents, ds))
+_, table, _ = build_scored(ds, cfg, ds.K)
 
 seeds = [0, 1, 2]
 print("variant              filled  median-ACC  per-seed")

@@ -38,7 +38,7 @@ from .data import (
     save_dataset,
 )
 from .metrics import plugin_impute
-from .trainer import TrainConfig, build_pretrained, fit, label_metrics
+from .trainer import TrainConfig, build_scored, fit, label_metrics
 
 
 DEFAULTS = {
@@ -201,11 +201,8 @@ def cmd_score(cfg):
     ds = load_from_config(cfg)
     tc = train_config(cfg)
     K = ds.K if ds.K is not None else 2
-    _, latents, _ = build_pretrained(ds, tc, K)
-    corr = scoring.view_correlation(latents, ds)
-    table = scoring.select_positions(
-        scoring.info_scores(ds, corr=corr), tc.selection_ratio
-    )
+    _, table, _ = build_scored(ds, tc, K)
+    table = scoring.select_positions(table, tc.selection_ratio)
     out = os.path.join(cfg["output"]["dir"], "scores.csv")
     rows = [
         {
@@ -460,9 +457,7 @@ def cmd_plugin(cfg):
         raise CliError("plugin study needs labels to report metrics")
     tc = train_config(cfg)
 
-    _, latents, _ = build_pretrained(ds, tc, ds.K)
-    corr = scoring.view_correlation(latents, ds)
-    table = scoring.info_scores(ds, corr=corr)
+    _, table, _ = build_scored(ds, tc, ds.K)
 
     rows = []
     for variant, r in (("no-impute", 0.0), (f"impute-selected@{ratio:g}", ratio),

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import MultiViewDataset, mask_patterns
 from .model import QUERY_BLOCK, check_neighbors
-from .scoring import view_distances
+from .scoring import pattern_blocks, view_distances
 
 
 def _check_pair(pred, truth):
@@ -166,17 +166,14 @@ def plugin_impute(dataset, table, k=10):
     the lower donor index, NaN distances rank last) and the k nearest
     donate the unweighted mean of their view-v rows, added nearest first.
 
-    Like ``scoring.info_scores``, each view v works per pair of
-    observation patterns (the set of views a sample observes): P of a
-    block of at most ``model.QUERY_BLOCK`` querying samples and Q of a
-    group of donors. The shared views S = P & Q are the same for the whole
-    pair, so the group fills its own columns of the block's key matrix
-    with one dense sum of |S| distance blocks over |S|; a pattern pair
-    with no shared view holds no candidate and gets no columns. Memory is
-    thus O(block * N). Within a block only each query's k nearest are
-    sorted (``_k_nearest``, ties broken by donor index), and the order
-    equals that of a full sort. Fills are computed from the original
-    observed data only.
+    Like ``scoring.info_scores``, each view v is walked by
+    ``scoring.pattern_blocks``, in blocks of at most ``model.QUERY_BLOCK``
+    querying samples. Each donor group of a block fills its own columns of
+    the block's key matrix with one dense sum of its |S| distance blocks
+    over |S|, so memory is O(block * N). Within a block only each query's
+    k nearest are sorted (``_k_nearest``, ties broken by donor index), and
+    the order equals that of a full sort. Fills are computed from the
+    original observed data only.
 
     Returns (new dataset, imputed flag matrix); observed cells and
     unselected positions are untouched, and filled cells get mask 1.
@@ -192,7 +189,7 @@ def plugin_impute(dataset, table, k=10):
     if observed.any():
         i, v = pos[observed][0]
         raise ValueError(f"position ({i}, {v}) is observed, nothing to impute")
-    kinds, pattern = mask_patterns(mask)
+    patterns = mask_patterns(mask)
     for v in np.unique(pos[:, 1]):
         donors = np.flatnonzero(mask[:, v])
         if donors.size == 0:
@@ -202,26 +199,18 @@ def plugin_impute(dataset, table, k=10):
         if lonely.size:
             raise ValueError(f"no donor shares an observed view with sample {lonely[0]}")
         X = dataset.views[v]
-        groups = [(kinds[g], donors[pattern[donors] == g])
-                  for g in np.unique(pattern[donors]).tolist()]
-        for p in np.unique(pattern[q]).tolist():
-            # the donor groups sharing views with pattern p: members and S
-            pairs = [(members, S) for kind, members in groups
-                     if (S := np.flatnonzero(kinds[p] & kind)).size]
+        for qb, pairs in pattern_blocks(patterns, v, q, QUERY_BLOCK):
             tie = np.concatenate([members for members, _ in pairs])
             cuts = np.cumsum([members.size for members, _ in pairs[:-1]], dtype=np.int64)
-            qp = q[pattern[q] == p]
-            for lo in range(0, qp.size, QUERY_BLOCK):
-                qb = qp[lo:lo + QUERY_BLOCK]
-                key = np.empty((qb.size, tie.size))
-                for (members, S), block in zip(pairs, np.split(key, cuts, axis=1)):
-                    # the kernel sums squares from +0.0, so no distance is
-                    # -0.0 and copying the first view equals adding it to 0
-                    block[...] = view_distances(dataset, S[0], qb, members)
-                    for u in S[1:]:
-                        block += view_distances(dataset, u, qb, members)
-                    block /= float(S.size)
-                new_views[v][qb] = X[tie[_k_nearest(key, k, tie)]].mean(axis=1)
+            key = np.empty((qb.size, tie.size))
+            for (members, S), block in zip(pairs, np.split(key, cuts, axis=1)):
+                # the kernel sums squares from +0.0, so no distance is
+                # -0.0 and copying the first view equals adding it to 0
+                block[...] = view_distances(dataset, S[0], qb, members)
+                for u in S[1:]:
+                    block += view_distances(dataset, u, qb, members)
+                block /= float(S.size)
+            new_views[v][qb] = X[tie[_k_nearest(key, k, tie)]].mean(axis=1)
         new_mask[q, v] = 1
         imputed[q, v] = True
     return (

@@ -26,13 +26,13 @@ the score, with shared[j,u] marking views that both i and j observe, is
 
 For a query i and a donor j, shared[j, :] depends only on the two
 samples' observation patterns (the sets of views they observe), so
-``info_scores`` works per pair of patterns: each shared view gives one
-dense block of similarities, computed by the exact kernel
-``view_distances``, and a pair that shares no view holds no support member
-and is skipped. ``max_view_distance`` finds D_max(u) by letting a GEMM
-pre-filter choose the candidate rows and taking the exact maximum of
-``view_distances`` over those. Positions are then selected by keeping the
-top fraction of scores.
+``info_scores`` works per pair of patterns, walked by ``pattern_blocks``:
+each shared view gives one dense block of similarities, computed by the
+exact kernel ``view_distances``, and a pair that shares no view holds no
+support member and is skipped. ``max_view_distance`` finds D_max(u) by
+letting a GEMM pre-filter choose the candidate rows and taking the exact
+maximum of ``view_distances`` over those. Positions are then selected by
+keeping the top fraction of scores.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class InfoTable:
     scores: np.ndarray
     selected: np.ndarray
     tau: float = float("inf")
-    ratio: float = 0.0
 
     @property
     def n_missing(self):
@@ -190,6 +189,32 @@ def view_correlation(latents, dataset):
     return corr
 
 
+def pattern_blocks(patterns, v, queries, step):
+    """The walk over observation patterns for target view v.
+
+    ``patterns`` is ``data.mask_patterns``' (kinds, pattern) of a boolean
+    mask and ``queries`` are samples that miss view v. The donors, the
+    samples observing v, are grouped by pattern Q. For each pattern P of
+    the queries this yields blocks ``(qb, pairs)`` of at most ``step``
+    queries of pattern P, in the order of ``queries``, with ``pairs`` the
+    list of ``(members, S)``: a donor group's samples and the views S = P &
+    Q that it shares with P, for each group with S non-empty. A pattern
+    that shares no view with any donor yields nothing.
+    """
+    kinds, pattern = patterns
+    donors = np.flatnonzero(kinds[pattern, v])
+    groups = [(kinds[q], donors[pattern[donors] == q])
+              for q in np.unique(pattern[donors]).tolist()]
+    for p in np.unique(pattern[queries]).tolist():
+        pairs = [(members, S) for kind, members in groups
+                 if (S := np.flatnonzero(kinds[p] & kind)).size]
+        if not pairs:
+            continue
+        qp = queries[pattern[queries] == p]
+        for lo in range(0, qp.size, step):
+            yield qp[lo:lo + step], pairs
+
+
 def info_scores(dataset, corr):
     """Score every missing position under the V x V view correlations
     ``corr``; returns an InfoTable with nothing selected yet.
@@ -197,18 +222,15 @@ def info_scores(dataset, corr):
     ``corr`` needs a unit diagonal and finite, non-negative off-diagonal
     entries; anything else raises ValueError.
 
-    Each target view v is scored per pair of observation patterns (the set
-    of views a sample observes): P of a block of querying samples, which
-    miss v, and Q of a group of donors, which observe it. The shared views
-    S = P & Q are the same for every query and donor of the pair, so each
-    u in S gives one dense block of cross terms ``(1 - d / d_max)^2 *
-    corr[u, v]``, with d from ``view_distances`` and d_max from
-    ``max_view_distance``. A member's intra term is the sum of its |S|
-    cross terms over the pair's one denominator, the sum of corr[S, v]. A
-    pattern pair with no shared view holds no support member and adds
-    nothing, so an empty support set scores 0. Only these terms are
-    summed, and a block holds at most ``model.QUERY_BLOCK * N`` of them, so
-    no N x N array is built.
+    Each target view v is scored by the blocks of ``pattern_blocks``. For a
+    block of queries and a donor group, each shared view u in S gives one
+    dense block of cross terms ``(1 - d / d_max)^2 * corr[u, v]``, with d
+    from ``view_distances`` and d_max from ``max_view_distance``. A
+    member's intra term is the sum of its |S| cross terms over the pair's
+    one denominator, the sum of corr[S, v]. A query in no block has an
+    empty support set and scores 0. Only these terms are summed, and a
+    block holds at most ``model.QUERY_BLOCK * N`` of them, so no N x N
+    array is built.
 
     Every sum (a member's numerator and denominator, a position's total)
     is the correctly rounded sum of ``_fsum_rows`` or ``math.fsum``, so
@@ -228,44 +250,28 @@ def info_scores(dataset, corr):
                          "off-diagonal entries")
     d_max = [max_view_distance(dataset, u) for u in range(V)]
 
-    # the (i, v) pairs of missing_positions(), row-major, as one int array
-    positions = np.argwhere(dataset.mask == 0)
-    scores = np.zeros(len(positions))
-    index = np.zeros((n, V), dtype=np.int64)
-    index[positions[:, 0], positions[:, 1]] = np.arange(len(positions))
+    grid = np.zeros((n, V))
     maskb = dataset.mask.astype(bool)
-    kinds, pattern = mask_patterns(maskb)
+    patterns = mask_patterns(maskb)
     for v in range(V):
-        donors = np.flatnonzero(maskb[:, v])
-        queries = np.flatnonzero(~maskb[:, v])
-        if donors.size == 0:
-            continue
         # a pattern pair gives |S| + 1 terms per (query, donor) and
         # |S| < V, so a block of `step` queries holds < step * V * donors
-        step = max(1, QUERY_BLOCK * n // (V * donors.size))
-        groups = [(kinds[q], donors[pattern[donors] == q])
-                  for q in np.unique(pattern[donors]).tolist()]
-        for p in np.unique(pattern[queries]).tolist():
-            # the donor groups sharing views with pattern p: members, S and
-            # the intra terms' denominator
-            pairs = [(members, S, math.fsum(corr[S, v].tolist()))
-                     for kind, members in groups
-                     if (S := np.flatnonzero(kinds[p] & kind)).size]
-            if not pairs:
-                continue
-            qp = queries[pattern[queries] == p]
-            for lo in range(0, qp.size, step):
-                qb = qp[lo:lo + step]
-                terms = []
-                for members, S, den in pairs:
-                    cross = [_similarity(dataset, u, qb, members, d_max[u], corr[u, v])
-                             for u in S]
-                    terms += cross
-                    terms.append(_fsum_rows(np.stack(cross, axis=-1)) / den)
-                scores[index[qb, v]] = _fsum_rows(np.hstack(terms))
+        step = max(1, QUERY_BLOCK * n // (V * int(maskb[:, v].sum())))
+        for qb, pairs in pattern_blocks(patterns, v, np.flatnonzero(~maskb[:, v]), step):
+            terms = []
+            for members, S in pairs:
+                cross = [_similarity(dataset, u, qb, members, d_max[u], corr[u, v])
+                         for u in S]
+                terms += cross
+                terms.append(_fsum_rows(np.stack(cross, axis=-1))
+                             / math.fsum(corr[S, v].tolist()))
+            grid[qb, v] = _fsum_rows(np.hstack(terms))
+    # the (i, v) pairs of missing_positions(), row-major like grid[missing]
+    missing = dataset.mask == 0
+    positions = np.argwhere(missing)
     return InfoTable(
         positions=positions,
-        scores=scores,
+        scores=grid[missing],
         selected=np.zeros(len(positions), dtype=bool),
     )
 
@@ -375,10 +381,10 @@ def select_positions(table, ratio):
     selected = np.zeros(m, dtype=bool)
     if m == 0:
         return InfoTable(table.positions.copy(), table.scores.copy(),
-                         selected, tau=float("inf"), ratio=ratio)
+                         selected, tau=float("inf"))
     n_keep = math.ceil(ratio * m)
     order = np.lexsort((table.positions[:, 1], table.positions[:, 0], -table.scores))
     selected[order[:n_keep]] = True
     tau = float(np.quantile(table.scores, 1.0 - ratio)) if ratio > 0 else float("inf")
     return InfoTable(table.positions.copy(), table.scores.copy(),
-                     selected, tau=tau, ratio=ratio)
+                     selected, tau=tau)

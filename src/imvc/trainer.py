@@ -76,7 +76,6 @@ class TrainConfig:
 class FitResult:
     model: M.DmgmmModel
     table: scoring.InfoTable | None
-    corr: np.ndarray | None
     assignments: np.ndarray
     gamma: np.ndarray
     history: list = field(default_factory=list)
@@ -286,9 +285,9 @@ def init_prior(latent_mu, K, seed, var_boost=None, fit_rows=None):
 def build_pretrained(dataset, config, K):
     """Build the model for ``config``, pretrain it and calibrate its heads.
 
-    The start shared by ``fit``, ``imvc score`` and ``imvc plugin``;
-    returns (model, latents, pretrain losses). Scoring stays with the
-    caller, so a fit without the informativeness gate never scores.
+    Returns (model, latents, pretrain losses). ``build_scored`` goes on to
+    score from the latents; a fit without the informativeness gate starts
+    here and never scores.
     """
     dataset.check_views_observed()
     model = M.DmgmmModel.build(
@@ -305,18 +304,29 @@ def build_pretrained(dataset, config, K):
     return model, latents, losses
 
 
-def _encode(model, dataset, keep):
-    """``encode_all``'s posteriors and, when ``keep``, the encoder pass
-    they were read from (else None), from one run of each encoder."""
+def build_scored(dataset, config, K):
+    """``build_pretrained``, then ``view_correlation`` and ``info_scores`` on
+    its latents: the pretrain -> calibrate -> score start shared by ``fit``,
+    ``imvc score`` and ``imvc plugin``. Returns (model, InfoTable with
+    nothing selected, pretrain losses)."""
+    model, latents, losses = build_pretrained(dataset, config, K)
+    corr = scoring.view_correlation(latents, dataset)
+    return model, scoring.info_scores(dataset, corr=corr), losses
+
+
+def _enter_state(model, dataset, table, k, keep):
+    """What the rest of ``fit`` reads of the current parameters, from one
+    run of each encoder: ``encode_all``'s posteriors, the encoder pass
+    they were read from when ``keep`` (else None), and ``impute_all``'s
+    dense experts from them (None when nothing is selected)."""
     encoded = M.encoder_pass(model, dataset, np.arange(dataset.n_samples))
-    return M.encode_all(model, dataset, encoded), (encoded if keep else None)
-
-
-def _imputed_experts(dataset, table, posts, k):
-    """``impute_all``'s dense experts, or None when nothing is selected."""
-    if table is None or not table.n_selected:
-        return None
-    return M.impute_all(dataset, table, posts, k=k)
+    posts = M.encode_all(model, dataset, encoded)
+    if not keep:
+        encoded = None  # released before the imputation runs
+    imput = None
+    if table is not None and table.n_selected:
+        imput = M.impute_all(dataset, table, posts, k=k)
+    return posts, encoded, imput
 
 
 def _deterministic_assignments(model, dataset, posts, imput):
@@ -351,11 +361,21 @@ def fit(dataset, config, selective_imputation=True):
         raise ValueError("dataset has no cluster count; set K")
     if K > dataset.n_samples:
         raise ValueError(f"cannot place {K} clusters on {dataset.n_samples} samples")
-    model, latents, pre_losses = build_pretrained(dataset, config, K)
+    table = None
+    if selective_imputation:
+        model, table, pre_losses = build_scored(dataset, config, K)
+        table = scoring.select_positions(table, config.selection_ratio)
+    else:
+        model, _, pre_losses = build_pretrained(dataset, config, K)
     n = dataset.n_samples
     batch = config.batch_size if 0 < config.batch_size < n else n
 
-    posts, encoded = _encode(model, dataset, keep=batch == n)
+    # posts holds the posteriors of the current parameters throughout and
+    # imput the experts imputed from them, which a retried epoch reuses; so
+    # does encoded, the encoder pass of a full-batch fit (the one batch's
+    # encoder runs), while mini-batches encode their own rows
+    posts, encoded, imput = _enter_state(model, dataset, table, config.n_neighbors,
+                                         keep=batch == n)
     agg0 = M.aggregate_observed(posts, dataset.mask)
     # Seed the k-means on fully observed samples when there are enough of
     # them: their fused latents share one frame, so the centroids are not
@@ -367,13 +387,6 @@ def fit(dataset, config, selective_imputation=True):
                    var_boost=agg0.var.mean(axis=0), fit_rows=fit_rows)
     )
 
-    table = None
-    corr = None
-    if selective_imputation:
-        corr = scoring.view_correlation(latents, dataset)
-        table = scoring.info_scores(dataset, corr=corr)
-        table = scoring.select_positions(table, config.selection_ratio)
-
     params = model.parameters()
     opt = Adam(params, lr=config.train_lr)
     rng_noise = np.random.default_rng(config.seed + 2_000_003)
@@ -383,11 +396,6 @@ def fit(dataset, config, selective_imputation=True):
     snapshot = (model.copy_params(), opt.state_dict())
     retries = 0
     epoch = 0
-    # posts holds the posteriors of the current parameters throughout and
-    # imput the experts imputed from them, which a retried epoch reuses; so
-    # does encoded, the encoder pass of a full-batch fit (the one batch's
-    # encoder runs), while mini-batches encode their own rows
-    imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
     while epoch < config.train_epochs:
         try:
             if batch == n:
@@ -422,9 +430,10 @@ def fit(dataset, config, selective_imputation=True):
             continue
 
         snapshot = (model.copy_params(), opt.state_dict())
-        encoded = None  # the old pass is released before the new one is made
-        posts, encoded = _encode(model, dataset, keep=batch == n)
-        imput = _imputed_experts(dataset, table, posts, config.n_neighbors)
+        # the old state is released before the new one is made
+        posts = encoded = imput = None
+        posts, encoded, imput = _enter_state(model, dataset, table, config.n_neighbors,
+                                             keep=batch == n)
         entry = {"epoch": epoch, **logged}
         # the last epoch is evaluated once, below, with the final assignments
         if (dataset.labels is not None and epoch % config.log_every == 0
@@ -440,7 +449,6 @@ def fit(dataset, config, selective_imputation=True):
     return FitResult(
         model=model,
         table=table,
-        corr=corr,
         assignments=assignments,
         gamma=gamma,
         history=history,

@@ -382,7 +382,7 @@ class TestExitCodes:
         def no_training(*args, **kw):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(imvc.cli, "build_pretrained", no_training)
+        monkeypatch.setattr(imvc.cli, "build_scored", no_training)
         monkeypatch.setattr(imvc.cli, "fit", no_training)
         rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path),
                    "--set", setting])
@@ -402,7 +402,7 @@ class TestExitCodes:
         def no_training(*args, **kw):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(imvc.cli, "build_pretrained", no_training)
+        monkeypatch.setattr(imvc.cli, "build_scored", no_training)
         monkeypatch.setattr(imvc.cli, "fit", no_training)
         rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path),
                    "--set", "data.labels=", "--clusters", "0"])
@@ -459,7 +459,7 @@ class TestExitCodes:
         def no_training(*args, **kw):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(imvc.cli, "build_pretrained", no_training)
+        monkeypatch.setattr(imvc.cli, "build_scored", no_training)
         monkeypatch.setattr(imvc.cli, "fit", no_training)
         rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 1

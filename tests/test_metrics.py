@@ -165,7 +165,6 @@ def table_for(dataset, select_all=True):
         positions=np.asarray(positions, dtype=np.int64).reshape(m, 2),
         scores=np.zeros(m),
         selected=np.full(m, select_all),
-        ratio=1.0 if select_all else 0.0,
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from imvc import scoring
-from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic
+from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic, mask_patterns
 from imvc.model import _SQ_MAX, QUERY_BLOCK, gemm_sq_distances
 from imvc.scoring import (
     CORR_FLOOR,
@@ -14,6 +14,7 @@ from imvc.scoring import (
     first_canonical_correlation,
     info_scores,
     max_view_distance,
+    pattern_blocks,
     select_positions,
     view_correlation,
     view_distances,
@@ -434,6 +435,36 @@ class TestMissingViewSimilarity:
         corr[1, 2] = corr[2, 1] = 0.3
         out = self.intra_term(mask, corr)
         assert out == pytest.approx((0.25 * 0.9 + 0.5625 * 0.3) / 1.2)  # = 0.328125
+
+
+class TestPatternBlocks:
+    def test_hand_built_walk(self):
+        # target view 0; its observers see views 0-2 only, so the query
+        # pattern {3} (sample 13) shares no view with any of them
+        mask = np.array([
+            [1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 0],
+            [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 1, 0],
+            [0, 0, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1],
+            [0, 1, 1, 1], [0, 0, 0, 1],
+        ], dtype=bool)
+        v, step = 0, 2
+        queries = np.flatnonzero(~mask[:, v])
+        blocks = list(pattern_blocks(mask_patterns(mask), v, queries, step))
+        seen = np.concatenate([qb for qb, _ in blocks])
+        assert sorted(seen.tolist()) == [2, 4, 6, 8, 9, 10, 11, 12]
+        assert 13 not in seen  # the lonely pattern yields nothing
+        for qb, pairs in blocks:
+            assert 1 <= qb.size <= step
+            P = mask[qb[0]]
+            assert (mask[qb] == P).all()
+            for members, S in pairs:
+                Q = mask[members[0]]
+                assert mask[members, v].all() and (mask[members] == Q).all()
+                np.testing.assert_array_equal(S, np.flatnonzero(P & Q))
+            # every observer that shares a view with P is in exactly one pair
+            group = np.concatenate([members for members, _ in pairs])
+            sharing = np.flatnonzero(mask[:, v] & (mask & P).any(axis=1))
+            assert sorted(group.tolist()) == sharing.tolist()
 
 
 class TestInfoScores:
