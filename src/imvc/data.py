@@ -91,11 +91,6 @@ class MultiViewDataset:
         if empty.size:
             raise ValueError(f"view {empty[0]} has no observed samples")
 
-    def missing_positions(self):
-        """(i, v) pairs with mask 0, in row-major order."""
-        ii, vv = np.where(self.mask == 0)
-        return list(zip(ii.tolist(), vv.tolist()))
-
 
 def mask_patterns(mask):
     """The observation patterns of ``mask``: ``(kinds, inverse)``, the

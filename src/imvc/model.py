@@ -36,8 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_open
-from .nn import SIGMA_MIN, Mlp, sigmoid, softplus
+from .nn import Mlp, sigmoid, softplus
 
+# Floor added to every scale output; squaring it gives the variance floor
+SIGMA_MIN = 1e-4
 VAR_MIN = SIGMA_MIN**2
 
 LIKELIHOODS = ("gaussian", "bernoulli")
@@ -97,10 +99,6 @@ class MixturePrior:
         if (self.var < VAR_MIN * (1 - 1e-12)).any():
             raise ValueError(f"component variances must be >= {VAR_MIN}")
 
-    @property
-    def K(self):
-        return self.pi.shape[0]
-
 
 def _inv_softplus(y):
     # solve softplus(x) = y for y > 0
@@ -108,10 +106,27 @@ def _inv_softplus(y):
     return y + np.log(-np.expm1(-y))
 
 
+def scale_heads(a, k):
+    """A network output ``a`` read as ``[mean | scale]``, in a new array: the
+    first ``k`` columns pass through, the rest become the scales
+    ``softplus(a) + SIGMA_MIN``. Encoders are read with ``k = d_z`` and
+    decoders with ``k = d_v``, so a Bernoulli decoder's logits (``d_v``
+    wide) pass through whole."""
+    out = a.copy()
+    out[:, k:] = softplus(a[:, k:]) + SIGMA_MIN
+    return out
+
+
+def scale_slope(a, k, da):
+    """Multiply ``da``, a gradient w.r.t. ``scale_heads(a, k)``, in place by
+    the heads' slope, giving the gradient w.r.t. ``a``."""
+    da[:, k:] *= sigmoid(a[:, k:])
+
+
 class DmgmmModel:
     """Per-view encoder/decoder pairs plus free mixture parameters.
 
-    Encoders emit [mu | sigma] (sigma through a softplus head, so the
+    Encoders emit [mu | sigma] (sigma through ``scale_heads``, so the
     per-view posterior variance is sigma^2 >= SIGMA_MIN^2). Gaussian
     decoders emit [mean | sigma]; Bernoulli decoders emit logits. The
     mixture is parameterized unconstrained: pi = softmax(pi_logits),
@@ -146,15 +161,10 @@ class DmgmmModel:
                 raise ValueError(f"unknown likelihood {lk!r}")
         encoders, decoders = [], []
         for v, d_v in enumerate(view_dims):
-            encoders.append(Mlp([d_v, *hidden, 2 * d_z],
-                                heads=(("identity", d_z), ("softplus", d_z)),
-                                seed=seed * 1000 + 2 * v))
+            encoders.append(Mlp([d_v, *hidden, 2 * d_z], seed=seed * 1000 + 2 * v))
             # a Gaussian decoder emits [mean | sigma], a Bernoulli one logits
-            heads = (("identity", d_v), ("softplus", d_v))
-            if likelihoods[v] == "bernoulli":
-                heads = heads[:1]
-            decoders.append(Mlp([d_z, *reversed(hidden), d_v * len(heads)], heads=heads,
-                                seed=seed * 1000 + 2 * v + 1))
+            width = d_v if likelihoods[v] == "bernoulli" else 2 * d_v
+            decoders.append(Mlp([d_z, *reversed(hidden), width], seed=seed * 1000 + 2 * v + 1))
         return cls(encoders, decoders, likelihoods, d_z=d_z, K=K, seed=seed)
 
     @property
@@ -218,9 +228,9 @@ class DmgmmModel:
 class EncoderPass:
     """Every view's encoder run on the batch rows that observe the view,
     stacked in view order: stack row j is batch row ``rows[j]``, view v's
-    stack rows are ``slices[v]``, ``a_out`` and ``out`` are the stacked
-    trunk and head outputs ``[mu | sigma]``, and ``inputs[v]`` is view v's
-    trunk layer inputs (its rows' features first). A pass is only read,
+    stack rows are ``slices[v]``, ``a_out`` is the stacked network outputs
+    and ``out`` their ``scale_heads`` ``[mu | sigma]``, and ``inputs[v]`` is
+    view v's layer inputs (its rows' features first). A pass is only read,
     never written, so one pass of a parameter state can serve
     ``encode_all`` and ``loss_and_grads`` alike."""
 
@@ -232,21 +242,20 @@ class EncoderPass:
 
 
 def encoder_pass(model, dataset, batch_idx):
-    """The ``EncoderPass`` of the rows ``batch_idx``. The heads are applied
-    once to the whole stack, as every encoder of ``DmgmmModel.build`` has
-    the same ``[identity d_z | softplus d_z]`` layout; each element sees the
-    operations of its own encoder's ``Mlp.forward``.
+    """The ``EncoderPass`` of the rows ``batch_idx``: each view's encoder
+    runs on its rows, and ``scale_heads`` with ``k = d_z`` once on the
+    whole stack.
     """
     obs = dataset.mask[batch_idx].astype(bool)
     rows = [np.flatnonzero(obs[:, v]) for v in range(model.n_views)]
-    trunks = [net.trunk_forward(X[batch_idx[r]])
+    passes = [net.forward(X[batch_idx[r]])
               for net, X, r in zip(model.encoders, dataset.views, rows)]
     bounds = np.cumsum([0] + [r.size for r in rows]).tolist()
-    a_out = np.concatenate([a for a, _ in trunks])
+    a_out = np.concatenate([a for a, _ in passes])
     return EncoderPass(rows=np.concatenate(rows),
                        slices=[slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
-                       a_out=a_out, out=model.encoders[0].apply_heads(a_out),
-                       inputs=[ins for _, ins in trunks])
+                       a_out=a_out, out=scale_heads(a_out, model.d_z),
+                       inputs=[ins for _, ins in passes])
 
 
 def encode_all(model, dataset, encoded=None):
@@ -587,6 +596,8 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
 
     # ---- mixture prior: each shared (B, K, d) term is formed once ----
     pi = model.pi
+    if not pi.all():  # a weight underflowed to 0, whose log is -inf
+        raise NonFiniteLossError("log_pi", -math.inf)
     log_pi = np.log(pi)
     mu_k = model.prior_mu
     var_k = softplus(model.prior_rho) + VAR_MIN
@@ -614,19 +625,20 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
 
     # ---- reconstruction over each view's rows; coherence per expert ----
     recon = np.zeros(B)
-    dec = []  # (decoder cache, output) per view
+    dec = []  # (layer inputs, network output, heads) per view's decoder
     for v, rows in enumerate(view_rows):
         X = encoded.inputs[v][0]
-        out, cache = model.decoders[v].forward(z[rows])
+        d_v = X.shape[1]
+        a, ins = model.decoders[v].forward(z[rows])
+        out = scale_heads(a, d_v)
         if model.likelihoods[v] == "gaussian":
-            d_v = X.shape[1]
             m_x, s_x = out[:, :d_v], out[:, d_v:]
             nll = 0.5 * (LOG_2PI + 2.0 * np.log(s_x) + ((X - m_x) / s_x) ** 2).sum(axis=1)
         else:
-            t = out  # identity head: logits
+            t = out  # logits
             nll = (softplus(t) - X * t).sum(axis=1)
         recon[rows] += nll
-        dec.append((cache, out))
+        dec.append((ins, a, out))
     ch_R = 0.5 * (np.log(var) - np.log(var_agg[R])
                   + (var_agg[R] + (mu_agg[R] - mu) ** 2) / var - 1.0).sum(axis=1)
     ch = np.zeros(B)
@@ -682,20 +694,21 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
     # decoders; z's gradient adds the prior's path after theirs
     g_z = np.zeros((B, d))
     dec_grads = []
-    for v, (cache, out) in enumerate(dec):
+    for v, (ins, a, out) in enumerate(dec):
         rows, X = view_rows[v], encoded.inputs[v][0]
+        d_v = X.shape[1]
         if model.likelihoods[v] == "gaussian":
-            d_v = X.shape[1]
             m_x, s_x = out[:, :d_v], out[:, d_v:]
             d_m = c * (m_x - X) / s_x**2
             d_s = c * (1.0 / s_x - (X - m_x) ** 2 / s_x**3)
             d_out = np.concatenate([d_m, d_s], axis=1)
         else:
             d_out = c * (sigmoid(out) - X)
-        gv, dz_rows = model.decoders[v].backward(cache, d_out)
+        scale_slope(a, d_v, d_out)
+        gv, dz_rows = model.decoders[v].backward(ins, d_out)
         g_z[rows] += dz_rows
         dec_grads.append(gv)
-    del dec, cache, out, d_out  # the decoders' forward results are not read again
+    del dec, ins, a, out, d_out  # the decoders' forward results are not read again
     g_z += g_prior
 
     # reparameterized sample
@@ -719,7 +732,7 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
 
     # product-of-experts backward into every expert, plus the coherence
     # term's direct path; then the encoder heads' slope once on the stack
-    # and each view's trunk on its slice
+    # and each view's encoder on its slice
     dm_R, dv_R = d_mu_agg[R], d_var_agg[R]
     own = mu - m_R
     d_m = dm_R * prec * v_R
@@ -729,8 +742,8 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
         d_m += c_R * own / var
         d_var += c_R * 0.5 * (1.0 / var - v_R / var**2 - dev**2 / var**2)
     da = np.concatenate([d_m, d_var * 2.0 * sd], axis=1)
-    model.encoders[0].apply_head_slope(encoded.a_out, da)
-    enc_grads = [net.trunk_backward(ins, da[sl], input_grad=False)[0]
+    scale_slope(encoded.a_out, d, da)
+    enc_grads = [net.backward(ins, da[sl], input_grad=False)[0]
                  for net, ins, sl in zip(model.encoders, encoded.inputs, slices)]
 
     grads = [g for gv in enc_grads + dec_grads for g in gv]

@@ -266,7 +266,7 @@ def info_scores(dataset, corr):
                 terms.append(_fsum_rows(np.stack(cross, axis=-1))
                              / math.fsum(corr[S, v].tolist()))
             grid[qb, v] = _fsum_rows(np.hstack(terms))
-    # the (i, v) pairs of missing_positions(), row-major like grid[missing]
+    # the (i, v) pairs with mask 0, row-major like grid[missing]
     missing = dataset.mask == 0
     positions = np.argwhere(missing)
     return InfoTable(

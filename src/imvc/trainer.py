@@ -90,18 +90,16 @@ def pretrain(model, dataset, config):
     variance head involvement). H[v] rows are valid only where view v is
     observed. Raises ValueError when a view has no observed sample.
 
-    The loss and the returned latents read only identity-head columns
-    (encoder means, Gaussian decoder means, Bernoulli logits), so the
-    networks run their trunk passes alone and form no encoder input
-    gradient. The GEMMs keep their full width, zero scale-head columns
-    included, so every result equals that of the full
-    ``Mlp.forward``/``Mlp.backward`` passes bit for bit.
+    The loss and the returned latents read only the mean columns of the
+    network outputs (encoder means, Gaussian decoder means, Bernoulli
+    logits), which ``model.scale_heads`` passes through unchanged, so the
+    plain outputs are used and no encoder input gradient is formed. The
+    GEMMs keep their full width, zero scale-column gradients included, so
+    every result equals that of the passes with heads bit for bit.
     """
     dataset.check_views_observed()
-    params = []
-    for net in model.encoders + model.decoders:
-        params.extend(net.parameters())
-    opt = Adam(params, lr=config.pretrain_lr)
+    opt = Adam([p for net in model.encoders + model.decoders for p in net.parameters()],
+               lr=config.pretrain_lr)
     d = model.d_z
     losses = []
     obs_rows = [dataset.observed(v) for v in range(model.n_views)]
@@ -112,8 +110,8 @@ def pretrain(model, dataset, config):
         for v in range(model.n_views):
             X = obs_X[v]
             enc, dec = model.encoders[v], model.decoders[v]
-            a_e, in_e = enc.trunk_forward(X)
-            a_d, in_d = dec.trunk_forward(a_e[:, :d])
+            a_e, in_e = enc.forward(X)
+            a_d, in_d = dec.forward(a_e[:, :d])
             if model.likelihoods[v] == "gaussian":
                 recon = a_d[:, : X.shape[1]]
             else:
@@ -126,24 +124,21 @@ def pretrain(model, dataset, config):
                 d_a_d[:, : X.shape[1]] = d_recon
             else:
                 d_a_d = d_recon * recon * (1.0 - recon)
-            gd, d_mu = dec.trunk_backward(in_d, d_a_d)
+            gd, d_mu = dec.backward(in_d, d_a_d)
             d_a_e = np.zeros_like(a_e)
             d_a_e[:, :d] = d_mu
-            ge, _ = enc.trunk_backward(in_e, d_a_e, input_grad=False)
+            ge, _ = enc.backward(in_e, d_a_e, input_grad=False)
             enc_grads.append(ge)
             dec_grads.append(gd)
         if not np.isfinite(total):
             raise M.NonFiniteLossError("pretrain_reconstruction", total)
-        grads = []
-        for g in enc_grads + dec_grads:
-            grads.extend(g)
-        opt.step(params, grads)
+        opt.step([g for gs in enc_grads + dec_grads for g in gs])
         losses.append(total)
 
     latents = []
     for v in range(model.n_views):
         H = np.zeros((dataset.n_samples, d))
-        H[obs_rows[v]] = model.encoders[v].trunk_forward(obs_X[v])[0][:, :d]
+        H[obs_rows[v]] = model.encoders[v].forward(obs_X[v])[0][:, :d]
         latents.append(H)
     return latents, losses
 
@@ -387,8 +382,7 @@ def fit(dataset, config, selective_imputation=True):
                    var_boost=agg0.var.mean(axis=0), fit_rows=fit_rows)
     )
 
-    params = model.parameters()
-    opt = Adam(params, lr=config.train_lr)
+    opt = Adam(model.parameters(), lr=config.train_lr)
     rng_noise = np.random.default_rng(config.seed + 2_000_003)
     rng_shuffle = np.random.default_rng(config.seed + 3_000_003)
 
@@ -412,7 +406,7 @@ def fit(dataset, config, selective_imputation=True):
                     model, dataset, idx, eps, alpha=config.alpha, imputations=imput,
                     encoded=encoded,
                 )
-                opt.step(params, grads)
+                opt.step(grads)
                 weighted = {k: idx.size / n * x for k, x in terms.as_dict().items()}
                 logged = weighted if logged is None else {
                     k: logged[k] + x for k, x in weighted.items()

@@ -20,17 +20,17 @@ missing position at a time with one ``math.fsum`` per support member.
 ``pairwise_similarity`` is the dense N x N similarity matrix of one view
 that ``scoring.info_scores`` streams by query blocks.
 
-``AdamPerArray``, ``sigmoid_masked``, ``mlp_forward`` and
-``mlp_backward`` are the optimiser step, the sigmoid and the MLP passes of
-``imvc.nn`` written array by array, with boolean masks and one head slice
+``AdamPerArray`` and ``sigmoid_masked`` are the optimiser step and the
+sigmoid of ``imvc.nn`` written array by array and with boolean masks.
+``mlp_forward`` and ``mlp_backward`` are the passes of an ``Mlp`` followed
+by ``model.scale_heads`` and its slope, with one head slice
 (``head_slices``) at a time. ``observed_views`` lists one sample's
 observed views. ``pretrain_reference`` is ``trainer.pretrain`` run through
-the full ``Mlp.forward``/``Mlp.backward`` passes: both heads evaluated,
-the scale heads' zero gradients scaled by their slope, and an input
-gradient formed for every network. ``loss_and_grads_per_view`` is
-``model.loss_and_grads`` one view at a time, each view's encoder run
-through its own ``Mlp.forward``/``Mlp.backward``, where the library
-stacks every view's expert rows into one array.
+the full passes with heads: both heads evaluated, the scale heads' zero
+gradients scaled by their slope, and an input gradient formed for every
+network. ``loss_and_grads_per_view`` is ``model.loss_and_grads`` one view
+at a time, each view's encoder run through its own passes with heads,
+where the library stacks every view's expert rows into one array.
 """
 
 import math
@@ -38,9 +38,9 @@ import math
 import numpy as np
 
 from imvc.data import MultiViewDataset
-from imvc.model import (LOG_2PI, VAR_MIN, GaussianPosterior, LossTerms, NonFiniteLossError,
-                        aggregate_observed, fuse, w2_distance)
-from imvc.nn import SIGMA_MIN, Adam, sigmoid, softplus
+from imvc.model import (LOG_2PI, SIGMA_MIN, VAR_MIN, GaussianPosterior, LossTerms,
+                        NonFiniteLossError, aggregate_observed, fuse, w2_distance)
+from imvc.nn import Adam, sigmoid, softplus
 from imvc.scoring import InfoTable, view_distances
 
 
@@ -252,7 +252,7 @@ def info_scores_per_position(dataset, corr, sims):
     and denominator, and one over all terms of the position."""
     mask = dataset.mask
     V = dataset.n_views
-    positions = dataset.missing_positions()
+    positions = np.argwhere(mask == 0)
     scores = np.zeros(len(positions))
     maskb = mask.astype(bool)
     for p, (i, v) in enumerate(positions):
@@ -270,7 +270,7 @@ def info_scores_per_position(dataset, corr, sims):
         cross[:, v] = num / den  # intra term: corr-weighted mean, corr[v,v] = 1
         scores[p] = math.fsum(cross.ravel().tolist())
     return InfoTable(
-        positions=np.asarray(positions, dtype=np.int64).reshape(len(positions), 2),
+        positions=positions,
         scores=scores,
         selected=np.zeros(len(positions), dtype=bool),
     )
@@ -290,13 +290,10 @@ def pairwise_similarity(dataset, u):
     return sim
 
 
-def head_slices(net):
-    """(kind, slice) pairs over the output columns of ``net``."""
-    out, start = [], 0
-    for kind, width in net.heads:
-        out.append((kind, slice(start, start + width)))
-        start += width
-    return out
+def head_slices(net, k):
+    """(kind, slice) pairs over the output columns of ``net``: the first
+    ``k`` identity, the rest softplus scales."""
+    return [("identity", slice(0, k)), ("softplus", slice(k, net.layer_dims[-1]))]
 
 
 def sigmoid_masked(x):
@@ -309,13 +306,13 @@ def sigmoid_masked(x):
     return out
 
 
-def mlp_backward(net, cache, d_out):
-    """``Mlp.backward`` with one head-slope product per head and a fresh
-    ReLU-masked array per layer."""
+def mlp_backward(net, cache, d_out, k):
+    """``model.scale_slope`` then ``Mlp.backward``, with one head-slope
+    product per head and a fresh ReLU-masked array per layer."""
     inputs, a_out = cache
     d_out = np.asarray(d_out, dtype=np.float64)
     da = np.empty_like(d_out)
-    for kind, sl in head_slices(net):
+    for kind, sl in head_slices(net, k):
         slope = np.ones_like(a_out[:, sl]) if kind == "identity" else sigmoid_masked(a_out[:, sl])
         da[:, sl] = d_out[:, sl] * slope
     grads = [None] * (2 * net.n_layers)
@@ -330,9 +327,10 @@ def mlp_backward(net, cache, d_out):
     return grads, dX
 
 
-def mlp_forward(net, X):
-    """``Mlp.forward`` with a separate ReLU array per layer and each head
-    written into its own output slice."""
+def mlp_forward(net, X, k):
+    """``Mlp.forward`` then ``model.scale_heads(., k)``, with a separate
+    ReLU array per layer and each head written into its own output slice.
+    Returns ``(Y, (inputs, a_out))``."""
     inputs = [X]
     h = X
     for l in range(net.n_layers - 1):
@@ -341,7 +339,7 @@ def mlp_forward(net, X):
         inputs.append(h)
     a_out = h @ net.weights[-1] + net.biases[-1]
     Y = np.empty_like(a_out)
-    for kind, sl in head_slices(net):
+    for kind, sl in head_slices(net, k):
         Y[:, sl] = a_out[:, sl] if kind == "identity" else softplus(a_out[:, sl]) + SIGMA_MIN
     return Y, (inputs, a_out)
 
@@ -355,16 +353,17 @@ class AdamPerArray:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
+        self.params = list(params)
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
-    def step(self, params, grads):
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("parameter/gradient list does not match optimizer state")
+    def step(self, grads):
+        if len(grads) != len(self.params):
+            raise ValueError("gradient list does not match the parameter list")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
             if p.shape != g.shape:
                 raise ValueError("gradient shape mismatch")
             m *= self.beta1
@@ -387,7 +386,7 @@ class AdamPerArray:
 
 
 def pretrain_reference(model, dataset, config):
-    """``trainer.pretrain`` through the full MLP passes; returns
+    """``trainer.pretrain`` through the full MLP passes with heads; returns
     (latents, losses) and trains ``model`` in place."""
     params = []
     for net in model.encoders + model.decoders:
@@ -402,9 +401,9 @@ def pretrain_reference(model, dataset, config):
         enc_grads, dec_grads = [], []
         for v in range(model.n_views):
             X = obs_X[v]
-            out_e, cache_e = model.encoders[v].forward(X)
+            out_e, cache_e = mlp_forward(model.encoders[v], X, d)
             mu = out_e[:, :d]
-            out_d, cache_d = model.decoders[v].forward(mu)
+            out_d, cache_d = mlp_forward(model.decoders[v], mu, X.shape[1])
             if model.likelihoods[v] == "gaussian":
                 recon = out_d[:, : X.shape[1]]
             else:
@@ -417,10 +416,10 @@ def pretrain_reference(model, dataset, config):
                 d_out_d[:, : X.shape[1]] = d_recon
             else:
                 d_out_d = d_recon * recon * (1.0 - recon)
-            gd, d_mu = model.decoders[v].backward(cache_d, d_out_d)
+            gd, d_mu = mlp_backward(model.decoders[v], cache_d, d_out_d, X.shape[1])
             d_out_e = np.zeros_like(out_e)
             d_out_e[:, :d] = d_mu
-            ge, _ = model.encoders[v].backward(cache_e, d_out_e)
+            ge, _ = mlp_backward(model.encoders[v], cache_e, d_out_e, d)
             enc_grads.append(ge)
             dec_grads.append(gd)
         if not np.isfinite(total):
@@ -428,14 +427,14 @@ def pretrain_reference(model, dataset, config):
         grads = []
         for g in enc_grads + dec_grads:
             grads.extend(g)
-        opt.step(params, grads)
+        opt.step(grads)
         losses.append(total)
 
     latents = []
     for v in range(model.n_views):
         H = np.zeros((dataset.n_samples, d))
         if obs_rows[v].size:
-            H[obs_rows[v]] = model.encoders[v].forward(obs_X[v])[0][:, :d]
+            H[obs_rows[v]] = mlp_forward(model.encoders[v], obs_X[v], d)[0][:, :d]
         latents.append(H)
     return latents, losses
 
@@ -443,8 +442,8 @@ def pretrain_reference(model, dataset, config):
 def loss_and_grads_per_view(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
                             encoded=None):
     """``model.loss_and_grads`` one view at a time: each view's encoder is
-    run on its batch rows through the full ``Mlp.forward``/``Mlp.backward``
-    passes, and its expert, coherence and expert-backward terms are formed
+    run on its batch rows through ``mlp_forward``/``mlp_backward``, and its
+    expert, coherence and expert-backward terms are formed
     on those rows alone. ``encoded`` is ignored (the encoders always run).
     Returns (LossTerms, grads) as ``loss_and_grads`` does."""
     batch_idx = np.asarray(batch_idx, dtype=np.int64)
@@ -460,7 +459,7 @@ def loss_and_grads_per_view(model, dataset, batch_idx, eps, alpha=0.0, imputatio
     for v in range(model.n_views):
         rows = np.flatnonzero(obs[:, v])
         X = dataset.views[v][batch_idx[rows]]
-        out, cache = model.encoders[v].forward(X)
+        out, cache = mlp_forward(model.encoders[v], X, d)
         sd = out[:, d:]
         var = sd**2
         enc.append((rows, X, cache, out[:, :d], sd, var, 1.0 / var))
@@ -504,7 +503,7 @@ def loss_and_grads_per_view(model, dataset, batch_idx, eps, alpha=0.0, imputatio
     ch = np.zeros(B)
     dec = []  # (decoder cache, output) per view
     for v, (rows, X, _, mu_v, _, var_v, _) in enumerate(enc):
-        out, cache = model.decoders[v].forward(z[rows])
+        out, cache = mlp_forward(model.decoders[v], z[rows], X.shape[1])
         if model.likelihoods[v] == "gaussian":
             d_v = X.shape[1]
             m_x, s_x = out[:, :d_v], out[:, d_v:]
@@ -574,7 +573,7 @@ def loss_and_grads_per_view(model, dataset, batch_idx, eps, alpha=0.0, imputatio
             d_out = np.concatenate([d_m, d_s], axis=1)
         else:
             d_out = c * (sigmoid(out) - X)
-        gv, dz_rows = model.decoders[v].backward(cache, d_out)
+        gv, dz_rows = mlp_backward(model.decoders[v], cache, d_out, X.shape[1])
         g_z[rows] += dz_rows
         dec_grads.append(gv)
     g_z += g_prior
@@ -602,7 +601,7 @@ def loss_and_grads_per_view(model, dataset, batch_idx, eps, alpha=0.0, imputatio
                                    - (m_agg - mu_v) ** 2 / var_v**2)
         d_sd_v = d_var_v * 2.0 * sd_v
         d_out = np.concatenate([d_m_v, d_sd_v], axis=1)
-        gv, _ = model.encoders[v].backward(cache, d_out, input_grad=False)
+        gv, _ = mlp_backward(model.encoders[v], cache, d_out, d)
         enc_grads.append(gv)
 
     grads = []

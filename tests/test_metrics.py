@@ -159,10 +159,10 @@ class TestAri:
 # ---------------- raw-space plug-in imputer ----------------
 
 def table_for(dataset, select_all=True):
-    positions = dataset.missing_positions()
+    positions = np.argwhere(dataset.mask == 0)
     m = len(positions)
     return InfoTable(
-        positions=np.asarray(positions, dtype=np.int64).reshape(m, 2),
+        positions=positions,
         scores=np.zeros(m),
         selected=np.full(m, select_all),
     )

@@ -8,6 +8,7 @@ import pytest
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic
 from imvc.model import (
     QUERY_BLOCK,
+    SIGMA_MIN,
     DmgmmModel,
     GaussianPosterior,
     MixturePrior,
@@ -22,9 +23,10 @@ from imvc.model import (
     loss_and_grads,
     responsibilities,
     save_model,
+    scale_heads,
+    scale_slope,
     w2_distance,
 )
-from imvc.nn import SIGMA_MIN
 
 from oracles import (
     coherence_loss,
@@ -127,6 +129,61 @@ class TestEncode:
         sd = np.log1p(np.exp(-np.abs(a[:, d:]))) + np.maximum(a[:, d:], 0) + SIGMA_MIN
         np.testing.assert_allclose(p.mu[rows], mu, atol=1e-12)
         np.testing.assert_allclose(p.var[rows], sd**2, atol=1e-12)
+
+
+class TestScaleHeads:
+    """``scale_heads(a, k)`` passes the first k columns through and makes
+    the rest softplus(a) + SIGMA_MIN; ``scale_slope`` is its derivative."""
+
+    @staticmethod
+    def outputs(seed, shape=(7, 6)):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(shape) * 10.0
+        a[0] = [-1e6, -800.0, -50.0, 0.0, 800.0, 1e6][: shape[1]]
+        return a
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_means_pass_through(self, k):
+        a = self.outputs(40)
+        before = a.copy()
+        out = scale_heads(a, k)
+        assert out[:, :k].tobytes() == a[:, :k].tobytes()
+        assert np.array_equal(a, before)  # the network output is only read
+
+    def test_scale_floor(self):
+        a = np.array([[-1e6, -800.0, -50.0, -1e-12], [0.0, 1e-12, 30.0, 1e6]])
+        out = scale_heads(a, 0)
+        assert np.isfinite(out).all() and (out >= SIGMA_MIN).all()
+        assert (out[0, :3] == SIGMA_MIN).all()
+        assert out[1, 3] == 1e6 + SIGMA_MIN
+
+    def test_full_width_is_copy(self):
+        a = self.outputs(41)
+        out = scale_heads(a, a.shape[1])
+        assert out.tobytes() == a.tobytes() and not np.shares_memory(out, a)
+        da = self.outputs(42)
+        before = da.copy()
+        scale_slope(a, a.shape[1], da)
+        assert da.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("k", [0, 2, 6])
+    def test_slope_matches_central_differences(self, k):
+        rng = np.random.default_rng(43)
+        a = rng.uniform(-4.0, 4.0, size=(5, 6))
+        w = rng.standard_normal(a.shape)  # the loss is sum(w * scale_heads(a, k))
+        da = w.copy()
+        scale_slope(a, k, da)
+        h = 1e-6
+        numeric = np.zeros_like(a)
+        for idx in np.ndindex(a.shape):
+            old = a[idx]
+            a[idx] = old + h
+            lp = (w * scale_heads(a, k)).sum()
+            a[idx] = old - h
+            lm = (w * scale_heads(a, k)).sum()
+            a[idx] = old
+            numeric[idx] = (lp - lm) / (2.0 * h)
+        np.testing.assert_allclose(da, numeric, rtol=1e-6, atol=1e-8)
 
 
 class TestPoe:
@@ -304,7 +361,7 @@ def selected_table(ds, every=1):
     """InfoTable over every missing position, every ``every``-th selected."""
     from imvc.scoring import InfoTable
 
-    positions = np.asarray(ds.missing_positions(), np.int64).reshape(-1, 2)
+    positions = np.argwhere(ds.mask == 0)
     selected = np.zeros(len(positions), dtype=bool)
     selected[::every] = True
     return InfoTable(positions=positions, scores=np.zeros(len(positions)),
@@ -808,9 +865,8 @@ def pass_bits(encoded):
 
 
 def disable_encoders(monkeypatch, model):
-    """Make every encoder run (a trunk pass or a full forward) raise."""
+    """Make every encoder run raise."""
     for net in model.encoders:
-        monkeypatch.setattr(net, "trunk_forward", None)
         monkeypatch.setattr(net, "forward", None)
 
 
@@ -907,7 +963,8 @@ class TestStackedLoss:
 class TestCheckTrainable:
     """``check_trainable`` names the first non-finite entry in
     ``parameters()`` order, however many arrays hold one, and a prior
-    weight that has underflowed to 0."""
+    weight that has underflowed to 0, which ``loss_and_grads`` rejects
+    too."""
 
     @pytest.mark.parametrize("poison,first", [
         # {parameter index: [(flat index, value), ...]}
@@ -935,6 +992,11 @@ class TestCheckTrainable:
         model.pi_logits[0] += 1e4  # the other prior weights underflow to 0
         with pytest.raises(NonFiniteLossError) as info:
             check_trainable(model)
+        assert info.value.term == "log_pi" and info.value.value == -np.inf
+        # the loss names the same term before it takes a log (no warning)
+        eps = np.zeros((ds.n_samples, model.d_z))
+        with pytest.raises(NonFiniteLossError) as info:
+            loss_and_grads(model, ds, np.arange(ds.n_samples), eps)
         assert info.value.term == "log_pi" and info.value.value == -np.inf
 
 
@@ -964,7 +1026,10 @@ def test_mixed_model_checkpoint_restores_every_array(tmp_path):
     assert back.likelihoods == ["bernoulli", "gaussian", "bernoulli"]
     assert (back.K, back.d_z) == (model.K, model.d_z)
     for a, b in zip(model.encoders + model.decoders, back.encoders + back.decoders):
-        assert (a.layer_dims, a.heads) == (b.layer_dims, b.heads)
+        assert a.layer_dims == b.layer_dims
+    # a Bernoulli decoder emits d_v logits, a Gaussian one [mean | sigma]
+    assert [dec.layer_dims[-1] for dec in back.decoders] == [
+        d * (1 if lk == "bernoulli" else 2) for d, lk in zip(ds.dims, back.likelihoods)]
     assert len(back.parameters()) == len(model.parameters())
     for a, b in zip(model.parameters(), back.parameters()):
         assert np.array_equal(a, b)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from imvc.model import DmgmmModel
-from imvc.nn import SIGMA_MIN, Adam, Mlp, sigmoid, softplus
+from imvc.model import DmgmmModel, scale_heads, scale_slope
+from imvc.nn import Adam, Mlp, sigmoid
 from oracles import AdamPerArray, mlp_backward, mlp_forward, sigmoid_masked
 
 
@@ -48,11 +48,10 @@ def has_kink_margin(net, X, margin=1e-3):
     return True
 
 
-def make_instance(seed, heads, dims=(4, 7, 5)):
+def make_instance(seed, out_dim, dims=(4, 7, 5)):
     rng = np.random.default_rng(seed)
-    out_dim = sum(w for _, w in heads)
     for bump in range(50):
-        net = Mlp([*dims, out_dim], heads=heads, seed=seed + 100 * bump)
+        net = Mlp([*dims, out_dim], seed=seed + 100 * bump)
         X = rng.standard_normal((6, dims[0]))
         if has_kink_margin(net, X):
             return net, X
@@ -83,27 +82,6 @@ class TestForward:
         expected = h @ net.weights[1] + net.biases[1]
         np.testing.assert_allclose(Y, expected, rtol=0, atol=0)
 
-    def test_head_slicing(self):
-        net = Mlp([2, 6], heads=(("identity", 2), ("softplus", 2), ("identity", 2)))
-        X = np.random.default_rng(3).standard_normal((5, 2))
-        Y, cache = net.forward(X)
-        a = cache[1]
-        np.testing.assert_allclose(Y[:, :2], a[:, :2])
-        np.testing.assert_allclose(Y[:, 2:4], softplus(a[:, 2:4]) + SIGMA_MIN)
-        np.testing.assert_allclose(Y[:, 4:], a[:, 4:])
-
-    def test_softplus_head_floor(self):
-        net = Mlp([2, 2], heads=(("softplus", 2),))
-        X = np.array([[-1e6, 1e-12], [0.0, -50.0]])
-        net.weights[0][...] = np.eye(2)
-        Y, _ = net.forward(X)
-        assert (Y >= SIGMA_MIN).all()
-        assert np.isfinite(Y).all()
-
-    def test_unknown_head_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown head kind"):
-            Mlp([2, 2], heads=(("logistic", 2),))
-
     def test_dim_mismatch_raises(self):
         net = Mlp([3, 2])
         with pytest.raises(ValueError):
@@ -111,15 +89,16 @@ class TestForward:
 
     def test_param_count(self):
         net = Mlp([4, 7, 5, 3])
-        assert net.n_params == (4 + 1) * 7 + (7 + 1) * 5 + (5 + 1) * 3
+        assert [p.shape for p in net.parameters()] == [(4, 7), (7,), (7, 5), (5,),
+                                                         (5, 3), (3,)]
 
 
 class TestBackward:
     def test_zero_grad_out(self):
         net = Mlp([3, 4, 2], seed=1)
         X = np.random.default_rng(4).standard_normal((5, 3))
-        _, cache = net.forward(X)
-        grads, dX = net.backward(cache, np.zeros((5, 2)))
+        _, inputs = net.forward(X)
+        grads, dX = net.backward(inputs, np.zeros((5, 2)))
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
         np.testing.assert_array_equal(dX, 0.0)
@@ -130,39 +109,34 @@ class TestBackward:
         net = Mlp([3, 2], seed=2)
         X = rng.standard_normal((8, 3))
         T = rng.standard_normal((8, 2))
-        Y, cache = net.forward(X)
-        grads, _ = net.backward(cache, 2.0 * (Y - T) / 8)
+        Y, inputs = net.forward(X)
+        grads, _ = net.backward(inputs, 2.0 * (Y - T) / 8)
         expected = 2.0 * X.T @ (X @ net.weights[0] + net.biases[0] - T) / 8
         np.testing.assert_allclose(grads[0], expected, rtol=1e-12)
 
-    @pytest.mark.parametrize(
-        "heads",
-        [
-            (("identity", 3),),
-            (("softplus", 3),),
-            (("identity", 2), ("softplus", 2), ("identity", 1)),
-        ],
-        ids=["identity", "softplus", "mixed"],
-    )
-    def test_finite_difference_every_head(self, heads):
-        net, X = make_instance(11, heads)
+    # k columns of 3 pass through ``model.scale_heads``, the rest are
+    # scales: k = 3 is the plain network
+    @pytest.mark.parametrize("k", [3, 0, 2], ids=["identity", "softplus", "mixed"])
+    def test_finite_difference_every_head(self, k):
+        net, X = make_instance(11, 3)
         rng = np.random.default_rng(12)
-        T = rng.standard_normal((X.shape[0], sum(w for _, w in heads)))
+        T = rng.standard_normal((X.shape[0], 3))
 
         def loss():
-            Y, _ = net.forward(X)
-            return float(((Y - T) ** 2).sum())
+            return float(((scale_heads(net.forward(X)[0], k) - T) ** 2).sum())
 
-        Y, cache = net.forward(X)
-        analytic, _ = net.backward(cache, 2.0 * (Y - T))
+        a, inputs = net.forward(X)
+        d_out = 2.0 * (scale_heads(a, k) - T)
+        scale_slope(a, k, d_out)
+        analytic, _ = net.backward(inputs, d_out)
         numeric = fd_param_grads(loss, net.parameters())
         assert max_rel_err(analytic, numeric) <= 1e-4
 
     def test_input_gradient_finite_difference(self):
-        net, X = make_instance(13, (("identity", 2), ("softplus", 2)))
+        net, X = make_instance(13, 4)
         T = np.random.default_rng(14).standard_normal((X.shape[0], 4))
-        Y, cache = net.forward(X)
-        _, dX = net.backward(cache, 2.0 * (Y - T))
+        Y, inputs = net.forward(X)
+        _, dX = net.backward(inputs, 2.0 * (Y - T))
         h = 1e-5
         num = np.zeros_like(X)
         for i in range(X.shape[0]):
@@ -176,6 +150,22 @@ class TestBackward:
                 num[i, j] = (lp - lm) / (2 * h)
         assert max_rel_err([dX], [num]) <= 1e-4
 
+    @pytest.mark.parametrize("dims", [(4, 7, 5), (4,)], ids=["hidden", "no-hidden"])
+    def test_without_input_grad(self, dims):
+        net = Mlp([*dims, 4], seed=27)
+        rng = np.random.default_rng(28)
+        _, inputs = net.forward(rng.standard_normal((6, dims[0])) * 3.0)
+        d_out = rng.standard_normal((6, 4))
+        d_before = d_out.copy()
+        grads, dX = net.backward(inputs, d_out)
+        grads_no_dx, none = net.backward(inputs, d_out, input_grad=False)
+        assert none is None and dX.shape == (6, dims[0])
+        assert len(grads_no_dx) == len(grads)
+        for g, t in zip(grads, grads_no_dx):
+            assert np.array_equal(g, t)
+        # the caller's gradient array is left as it was
+        assert np.array_equal(d_out, d_before)
+
 
 class TestAdam:
     def test_zero_grads_no_update(self):
@@ -183,7 +173,7 @@ class TestAdam:
         params = net.parameters()
         before = [p.copy() for p in params]
         opt = Adam(params, lr=0.1)
-        opt.step(params, [np.zeros_like(p) for p in params])
+        opt.step([np.zeros_like(p) for p in params])
         for b, p in zip(before, params):
             np.testing.assert_array_equal(b, p)
 
@@ -192,14 +182,14 @@ class TestAdam:
         w = np.array([0.0, 0.0])
         g = np.array([3.7, -0.2])
         opt = Adam([w], lr=0.05)
-        opt.step([w], [g])
+        opt.step([g])
         np.testing.assert_allclose(np.abs(w), 0.05, rtol=1e-3)
 
     def test_quadratic_bowl_converges(self):
         w = np.array([1.0, 1.0])
         opt = Adam([w], lr=0.05)
         for _ in range(500):
-            opt.step([w], [2.0 * w])
+            opt.step([2.0 * w])
         assert np.linalg.norm(w) < 1e-2
 
     def test_deterministic_trajectory(self):
@@ -211,9 +201,9 @@ class TestAdam:
             X = rng.standard_normal((10, 4))
             T = rng.standard_normal((10, 2))
             for _ in range(20):
-                Y, cache = net.forward(X)
-                grads, _ = net.backward(cache, 2.0 * (Y - T) / 10)
-                opt.step(params, grads)
+                Y, inputs = net.forward(X)
+                grads, _ = net.backward(inputs, 2.0 * (Y - T) / 10)
+                opt.step(grads)
             return [p.copy() for p in params]
 
         a, b = run(), run()
@@ -240,8 +230,8 @@ class TestAdam:
             else:
                 grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3)
                          for p in params]
-            opt.step(params, grads)
-            ref_opt.step(ref, grads)
+            opt.step(grads)
+            ref_opt.step(grads)
             for p, r in zip(params, ref):
                 assert np.array_equal(p, r)
 
@@ -252,19 +242,19 @@ class TestAdam:
         straight = [p.copy() for p in params]
         opt = Adam(straight, lr=1e-2)
         for g in grads:
-            opt.step(straight, g)
+            opt.step(g)
 
         resumed = [p.copy() for p in params]
         first = Adam(resumed, lr=1e-2)
         for g in grads[:8]:
-            first.step(resumed, g)
+            first.step(g)
         state = first.state_dict()
         saved = [p.copy() for p in resumed]
-        first.step(resumed, grads[8])  # moves the live buffers, not the snapshot
+        first.step(grads[8])  # moves the live buffers, not the snapshot
         second = Adam(saved, lr=1e-2)
         second.load_state_dict(state)
         for g in grads[8:]:
-            second.step(saved, g)
+            second.step(g)
         for p, r in zip(saved, straight):
             assert np.array_equal(p, r)
 
@@ -272,11 +262,9 @@ class TestAdam:
         params = [np.zeros(3), np.zeros((2, 2))]
         opt = Adam(params)
         with pytest.raises(ValueError, match="shape mismatch"):
-            opt.step(params, [np.zeros(3), np.zeros(4)])
-        with pytest.raises(ValueError, match="shape mismatch"):
-            opt.step([np.zeros(3), np.zeros(4)], [np.zeros(3), np.zeros(4)])
+            opt.step([np.zeros(3), np.zeros(4)])
         with pytest.raises(ValueError, match="does not match"):
-            opt.step(params[:1], [np.zeros(3)])
+            opt.step([np.zeros(3)])
         assert opt.t == 0
         np.testing.assert_array_equal(params[1], 0.0)
         with pytest.raises(ValueError, match="do not match"):
@@ -284,7 +272,8 @@ class TestAdam:
 
 
 class TestAgainstReference:
-    """The library's sigmoid and MLP passes equal the per-slice forms in
+    """The library's sigmoid, and its MLP passes followed by
+    ``model.scale_heads`` and its slope, equal the per-slice forms in
     ``oracles``, bit for bit."""
 
     def test_sigmoid_equals_masked(self):
@@ -297,83 +286,38 @@ class TestAgainstReference:
                   rng.standard_normal((300, 7)) * 30.0, np.array(-2.5)):
             assert np.array_equal(sigmoid(x), sigmoid_masked(x), equal_nan=True)
 
+    # (hidden dims, output width, mean columns k, rows)
     @pytest.mark.parametrize(
-        "dims, heads, rows",
+        "dims, out_dim, k, rows",
         [
-            ((4, 7, 5), (("identity", 2), ("softplus", 2), ("identity", 1)), 6),
-            ((4, 7, 5), (("identity", 3),), 6),
-            ((4, 7, 5), (("softplus", 3),), 6),
-            ((4, 7, 5), (("identity", 2), ("softplus", 2)), 1),
-            ((4,), (("identity", 2), ("softplus", 2)), 6),
-            ((4,), (("identity", 3),), 1),
+            ((4, 7, 5), 5, 2, 6),
+            ((4, 7, 5), 3, 3, 6),
+            ((4, 7, 5), 3, 0, 6),
+            ((4, 7, 5), 4, 2, 1),
+            ((4,), 4, 2, 6),
+            ((4,), 3, 3, 1),
         ],
         ids=["mixed", "identity", "softplus", "one-row", "no-hidden", "no-hidden-one-row"],
     )
-    def test_passes_equal_reference(self, dims, heads, rows):
-        out_dim = sum(w for _, w in heads)
-        net = Mlp([*dims, out_dim], heads=heads, seed=23)
+    def test_passes_equal_reference(self, dims, out_dim, k, rows):
+        net = Mlp([*dims, out_dim], seed=23)
         rng = np.random.default_rng(24)
         X = rng.standard_normal((rows, dims[0])) * 3.0
-        Y, cache = net.forward(X)
-        Y_ref, cache_ref = mlp_forward(net, X)
-        assert np.array_equal(Y, Y_ref)
-        for a, b in zip(cache[0], cache_ref[0]):
-            assert np.array_equal(a, b)
+        a, inputs = net.forward(X)
+        Y = scale_heads(a, k)
+        Y_ref, (inputs_ref, a_ref) = mlp_forward(net, X, k)
+        assert np.array_equal(Y, Y_ref) and np.array_equal(a, a_ref)
+        for x, y in zip(inputs, inputs_ref):
+            assert np.array_equal(x, y)
         d_out = rng.standard_normal(Y.shape)
-        d_before = d_out.copy()
-        grads, dX = net.backward(cache, d_out)
-        grads_ref, dX_ref = mlp_backward(net, cache_ref, d_out)
+        da = d_out.copy()
+        scale_slope(a, k, da)
+        da_before = da.copy()
+        grads, dX = net.backward(inputs, da)
+        grads_ref, dX_ref = mlp_backward(net, (inputs_ref, a_ref), d_out, k)
         assert len(grads) == len(grads_ref)
         for g, r in zip(grads, grads_ref):
             assert np.array_equal(g, r)
         assert np.array_equal(dX, dX_ref)
         # the caller's gradient array is left as it was
-        assert np.array_equal(d_out, d_before)
-
-
-class TestTrunk:
-    """``forward``/``backward`` are the trunk passes plus the heads, bit for
-    bit."""
-
-    @pytest.mark.parametrize(
-        "dims, heads",
-        [((4, 7, 5), (("identity", 2), ("softplus", 2))),
-         ((4, 7, 5), (("identity", 3),)),
-         ((4,), (("identity", 2), ("softplus", 2)))],
-        ids=["mixed", "identity", "no-hidden"],
-    )
-    def test_forward_is_head_of_trunk(self, dims, heads):
-        net = Mlp([*dims, sum(w for _, w in heads)], heads=heads, seed=25)
-        X = np.random.default_rng(26).standard_normal((6, dims[0])) * 3.0
-        a_out, inputs = net.trunk_forward(X)
-        Y, (cache_inputs, cache_a) = net.forward(X)
-        assert np.array_equal(Y, net.apply_heads(a_out))
-        assert np.array_equal(cache_a, a_out)
-        for a, b in zip(cache_inputs, inputs):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("dims", [(4, 7, 5), (4,)], ids=["hidden", "no-hidden"])
-    def test_trunk_backward_without_input_grad(self, dims):
-        heads = (("identity", 2), ("softplus", 2))
-        net = Mlp([*dims, 4], heads=heads, seed=27)
-        rng = np.random.default_rng(28)
-        X = rng.standard_normal((6, dims[0])) * 3.0
-        Y, cache = net.forward(X)
-        # a gradient on the identity head only: the softplus slope scales
-        # zeros, so the trunk sees the caller's array unchanged
-        d_out = np.zeros_like(Y)
-        d_out[:, :2] = rng.standard_normal((6, 2))
-        d_before = d_out.copy()
-        grads, dX = net.backward(cache, d_out)
-        trunk_grads, none = net.trunk_backward(cache[0], d_out, input_grad=False)
-        assert none is None
-        assert len(trunk_grads) == len(grads)
-        for g, t in zip(grads, trunk_grads):
-            assert np.array_equal(g, t)
-        assert np.array_equal(d_out, d_before)
-        _, trunk_dX = net.trunk_backward(cache[0], d_out)
-        assert np.array_equal(trunk_dX, dX)
-        grads_no_dx, none = net.backward(cache, d_out, input_grad=False)
-        assert none is None
-        for g, t in zip(grads, grads_no_dx):
-            assert np.array_equal(g, t)
+        assert np.array_equal(da, da_before)

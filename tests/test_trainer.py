@@ -179,8 +179,9 @@ def test_likelihood_count_rejected_before_training(monkeypatch, likelihoods):
 
 
 class TestPretrainEqualsReference:
-    """``pretrain`` runs only the networks' trunks; its latents, losses and
-    every trained parameter equal the full-pass reference's bit for bit."""
+    """``pretrain`` reads the plain network outputs, without the scale
+    heads; its latents, losses and every trained parameter equal those of
+    the reference with heads bit for bit."""
 
     @pytest.mark.parametrize(
         "likelihoods, epochs",
@@ -370,10 +371,10 @@ class TestDivergence:
             trained.append(out[0])
             return out
 
-        def step(self, params, grads):
+        def step(self, grads):
             if trained:
-                starts.append((self.lr, all(np.isfinite(p).all() for p in params)))
-            real_step(self, params, grads)
+                starts.append((self.lr, all(np.isfinite(p).all() for p in self.params)))
+            real_step(self, grads)
             if trained:
                 poison(trained[0])
 
@@ -405,8 +406,8 @@ def test_minibatch_prior_underflow_retried(monkeypatch):
         trained.append(out[0])
         return out
 
-    def step(self, params, grads):
-        real_step(self, params, grads)
+    def step(self, grads):
+        real_step(self, grads)
         if trained:
             lrs.append(self.lr)
             if len(lrs) == 2:
@@ -415,8 +416,7 @@ def test_minibatch_prior_underflow_retried(monkeypatch):
     monkeypatch.setattr(trainer, "build_pretrained", build_pretrained)
     monkeypatch.setattr(trainer.Adam, "step", step)
     config = quick_config(seed=14, batch_size=16, train_epochs=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        res = fit(masked_synthetic(19), config)
+    res = fit(masked_synthetic(19), config)
     lr = config.train_lr
     assert lrs == [lr, lr] + [lr / 2] * 10  # 5 batches per epoch
     assert len(res.history) == config.train_epochs
@@ -440,8 +440,8 @@ class TestOneImputationPerState:
             trained.append(out[0])
             return out
 
-        def step(self, params, grads):
-            real_step(self, params, grads)
+        def step(self, grads):
+            real_step(self, grads)
             if trained:
                 lrs.append(self.lr)
                 if len(lrs) == poisoned_step:
@@ -478,7 +478,7 @@ class TestOneEncoderPassPerState:
             trainer.build_pretrained, trainer.Adam.step, M.loss_and_grads)
         trained = []  # the model, once pretraining is over
         in_loss = []
-        runs = {"outside": [], "loss": []}  # encoder index of each trunk pass
+        runs = {"outside": [], "loss": []}  # encoder index of each forward pass
         steps = []
 
         def build_pretrained(*args, **kwargs):
@@ -486,11 +486,10 @@ class TestOneEncoderPassPerState:
             model = out[0]
             trained.append(model)
             for v, net in enumerate(model.encoders):
-                def trunk_forward(X, v=v, real=net.trunk_forward):
+                def forward(X, v=v, real=net.forward):
                     runs["loss" if in_loss else "outside"].append(v)
                     return real(X)
-                monkeypatch.setattr(net, "trunk_forward", trunk_forward)
-                monkeypatch.setattr(net, "forward", None)  # encoders run trunks only
+                monkeypatch.setattr(net, "forward", forward)
             return out
 
         def loss_and_grads(*args, **kwargs):
@@ -500,8 +499,8 @@ class TestOneEncoderPassPerState:
             finally:
                 in_loss.pop()
 
-        def step(self, params, grads):
-            real_step(self, params, grads)
+        def step(self, grads):
+            real_step(self, grads)
             if trained:
                 steps.append(self.lr)
                 if len(steps) == poisoned_step:
