@@ -44,6 +44,7 @@ for v in range(3):
 print("(the heavily missing view has smaller support sets, hence lower scores)")
 
 table = select_positions(table, 0.5)
-print(f"\nselection at ratio 0.5: {table.n_selected} positions, tau={table.tau:.2f}")
+print(f"\nselection at ratio 0.5: {table.n_selected} positions, "
+      f"lowest selected score {table.scores[table.selected].min():.2f}")
 by_view = np.bincount(table.positions[table.selected][:, 1], minlength=3)
 print(f"selected per view: {by_view}")

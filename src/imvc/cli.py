@@ -24,7 +24,6 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from . import model as M
 from . import scoring, svg
 from .data import (
     MissingSpec,
@@ -251,9 +250,7 @@ def cmd_fit(cfg):
     payload = _result_payload(cfg, res, ds.labels)
     with atomic_open(result_path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
-    ckpt_path = os.path.join(out_dir, "model.json")
-    M.save_model(res.model, ckpt_path)
-    msg = f"wrote {result_path} and {ckpt_path}"
+    msg = f"wrote {result_path}"
     if "metrics" in payload:
         msg += " (" + ", ".join(f"{m}={x:.3f}" for m, x in payload["metrics"].items()) + ")"
     print(msg)
@@ -348,8 +345,9 @@ def cmd_sweep(cfg):
     ratios = _floats(sw["ratios"])
     alphas = _floats(sw["alphas"]) or [float(cfg["train"]["alpha"])]
     runs = int(sw["runs"])
-    if not rates or not ratios or runs < 1:
-        raise CliError("sweep needs non-empty rates, ratios and runs >= 1")
+    workers = int(sw["workers"])
+    if not rates or not ratios or runs < 1 or workers < 1:
+        raise CliError("sweep needs non-empty rates, ratios, runs >= 1 and workers >= 1")
     ds = load_from_config(cfg)
     if ds.labels is None:
         raise CliError("sweep needs labels to report metrics")
@@ -392,7 +390,6 @@ def cmd_sweep(cfg):
                         tc_base, selection_ratio=rho, alpha=alpha, seed=seed
                     )
                     jobs.append((ds.views, mask, ds.labels, ds.K, tc, eta))
-    workers = int(sw["workers"])
     # every finished cell is persisted at once, in job order, so an
     # interrupted sweep resumes from the last finished cell
     parallel = workers > 1
@@ -545,7 +542,7 @@ def build_parser():
 
     for name, help_text in (
         ("score", "score every missing position and write scores.csv"),
-        ("fit", "train on one dataset and write result.json + model.json"),
+        ("fit", "train on one dataset and write result.json"),
         ("sweep", "grid over missing rates / selection ratios / alphas"),
         ("plugin", "raw-space neighbor-mean imputation study"),
     ):

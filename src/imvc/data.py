@@ -207,8 +207,10 @@ def generate_mask(N, V, spec):
     Entries are dropped independently per view, all-zero rows are repaired
     by restoring the least-dropped view, then per-view counts are nudged to
     their targets so the realized rate matches spec.target_rate. Pure
-    function of (N, V, spec).
+    function of (N, V, spec). N below 1 raises ValueError.
     """
+    if N < 1:
+        raise ValueError(f"a mask needs at least 1 sample, got {N}")
     probs = spec.per_view_missing_prob.astype(np.float64).copy()
     if probs.shape != (V,):
         raise ValueError(f"need {V} per-view probabilities, got {probs.shape}")

@@ -28,14 +28,12 @@ mixture parameters; imputed expert parameters are treated as constants
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_open
 from .nn import Mlp, sigmoid, softplus
 
 # Floor added to every scale output; squaring it gives the variance floor
@@ -183,26 +181,19 @@ class DmgmmModel:
         return [p.copy() for p in self.parameters()]
 
     def load_params(self, saved):
-        """Copy ``saved``, one array (or nested list) per entry of
-        ``parameters()`` in that order, into the live parameters. Nothing
-        is written unless the count matches and every entry is a numeric
-        array of the matching shape; otherwise ValueError names the count or
-        the first bad ``parameters[i]``.
+        """Copy ``saved``, one array per entry of ``parameters()`` in that
+        order (``copy_params``' list), into the live parameters. Nothing is
+        written unless the count and every shape match; otherwise ValueError
+        names the count or the first bad ``parameters[i]``.
         """
         params = self.parameters()
         if len(saved) != len(params):
             raise ValueError(f"{len(saved)} parameter arrays given, expected {len(params)}")
-        arrays = []
-        for i, s in enumerate(saved):
-            try:
-                arrays.append(np.asarray(s, dtype=np.float64))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"parameters[{i}] is not a numeric array: {exc}") from None
-        for i, (p, a) in enumerate(zip(params, arrays)):
-            if a.shape != p.shape:
-                raise ValueError(f"parameters[{i}] has shape {a.shape}, expected {p.shape}")
-        for p, a in zip(params, arrays):
-            p[...] = a
+        for i, (p, s) in enumerate(zip(params, saved)):
+            if s.shape != p.shape:
+                raise ValueError(f"parameters[{i}] has shape {s.shape}, expected {p.shape}")
+        for p, s in zip(params, saved):
+            p[...] = s
 
     @property
     def pi(self):
@@ -748,50 +739,3 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
 
     grads = [g for gv in enc_grads + dec_grads for g in gv]
     return terms, grads + [d_pi_logits, d_mu_k, d_var_k * sigmoid(model.prior_rho)]
-
-
-MODEL_MAGIC = "imvc-model-v2"
-
-
-def save_model(model, path):
-    """Versioned JSON checkpoint: ``DmgmmModel.build``'s arguments, then
-    every array of ``model.parameters()`` as a nested list, in that order
-    (Adam's moment order). JSON floats round-trip bit for bit."""
-    dims = [enc.layer_dims for enc in model.encoders]
-    payload = {
-        "magic": MODEL_MAGIC,
-        "view_dims": [d[0] for d in dims],
-        "K": model.K,
-        "d_z": model.d_z,
-        "hidden": dims[0][1:-1],
-        "likelihoods": model.likelihoods,
-        "parameters": [p.tolist() for p in model.parameters()],
-    }
-    with atomic_open(path) as fh:
-        json.dump(payload, fh)
-
-
-# the fields of a model.json after "magic", with their JSON types
-MODEL_FIELDS = {"view_dims": list, "K": int, "d_z": int, "hidden": list,
-                "likelihoods": list, "parameters": list}
-
-
-def load_model(path):
-    """The model of a ``save_model`` checkpoint, rebuilt by ``build`` and
-    filled by ``load_params``; either raises ValueError on a header or an
-    array that does not fit, and so does a file that is not a JSON object
-    with the magic string and every field of ``MODEL_FIELDS`` at its type."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:
-        raise ValueError(f"not a {MODEL_MAGIC} checkpoint: {path}")
-    for field, kind in MODEL_FIELDS.items():
-        if not isinstance(payload.get(field), kind):
-            raise ValueError(f"checkpoint field {field!r} is missing or not a "
-                             f"{kind.__name__}: {path}")
-    model = DmgmmModel.build(
-        payload["view_dims"], payload["K"], d_z=payload["d_z"],
-        hidden=payload["hidden"], likelihoods=payload["likelihoods"],
-    )
-    model.load_params(payload["parameters"])
-    return model

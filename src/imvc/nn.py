@@ -7,9 +7,7 @@ fixed-architecture perceptrons: ReLU hidden layers and a linear output.
 ``Mlp.backward`` reads; backward returns gradients in the same flat order
 as ``Mlp.parameters()``, and the input gradient only when asked. Which
 output columns a model reads as scales is the model's business
-(``model.scale_heads``). Networks have no file format of their own:
-``model.save_model`` writes a model's networks as part of
-``DmgmmModel.parameters()``.
+(``model.scale_heads``). Networks have no file format.
 """
 
 from __future__ import annotations

@@ -55,14 +55,12 @@ class InfoTable:
 
     positions is (m, 2) int (sample, view) in row-major order; selected
     marks the top-ceil(ratio * m) scores (ties broken by lower sample
-    index, then lower view index); tau is the (1 - ratio)-quantile of the
-    scores that the selection corresponds to.
+    index, then lower view index).
     """
 
     positions: np.ndarray
     scores: np.ndarray
     selected: np.ndarray
-    tau: float = float("inf")
 
     @property
     def n_missing(self):
@@ -372,19 +370,13 @@ def select_positions(table, ratio):
 
     Ties at the cutoff are broken by lower sample index, then lower view
     index, so selections are reproducible and nest as the ratio grows.
-    tau records the matching score quantile. ratio 0 selects nothing,
-    ratio 1 everything.
+    ratio 0 selects nothing, ratio 1 everything.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("selection ratio must lie in [0, 1]")
     m = table.n_missing
     selected = np.zeros(m, dtype=bool)
-    if m == 0:
-        return InfoTable(table.positions.copy(), table.scores.copy(),
-                         selected, tau=float("inf"))
-    n_keep = math.ceil(ratio * m)
-    order = np.lexsort((table.positions[:, 1], table.positions[:, 0], -table.scores))
-    selected[order[:n_keep]] = True
-    tau = float(np.quantile(table.scores, 1.0 - ratio)) if ratio > 0 else float("inf")
-    return InfoTable(table.positions.copy(), table.scores.copy(),
-                     selected, tau=tau)
+    if m:
+        order = np.lexsort((table.positions[:, 1], table.positions[:, 0], -table.scores))
+        selected[order[:math.ceil(ratio * m)]] = True
+    return InfoTable(table.positions.copy(), table.scores.copy(), selected)

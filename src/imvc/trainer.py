@@ -59,6 +59,8 @@ class TrainConfig:
             raise ValueError("batch_size must be non-negative")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.selection_ratio <= 1.0:
             raise ValueError("selection ratio must lie in [0, 1]")
         # written so that NaN fails each comparison

@@ -183,6 +183,17 @@ class TestGenerateMask:
                      "--probs", "0.3", "--rate", "0"]) == 0
         assert out.read_text().split() == ["1"] * 10
 
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_no_samples_rejected(self, N, tmp_path):
+        spec = MissingSpec(np.array([0.4, 0.2]), target_rate=0.3, seed=1)
+        with pytest.raises(ValueError, match=f"at least 1 sample, got {N}"):
+            generate_mask(N, 2, spec)
+        # the CLI exits 1 and writes no empty mask
+        out = tmp_path / "mask.csv"
+        assert main(["gen-mask", "--out", str(out), "--samples", str(N),
+                     "--probs", "0.4,0.2", "--rate", "0.3"]) == 1
+        assert not out.exists()
+
     def test_unbalanced_rate_hits_target(self):
         # Monte-Carlo across seeds: realized rate within +-0.02 of 0.5
         for seed in range(5):

@@ -1,5 +1,3 @@
-import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -19,10 +17,8 @@ from imvc.model import (
     encoder_pass,
     fuse,
     impute_all,
-    load_model,
     loss_and_grads,
     responsibilities,
-    save_model,
     scale_heads,
     scale_slope,
     w2_distance,
@@ -1000,39 +996,14 @@ class TestCheckTrainable:
         assert info.value.term == "log_pi" and info.value.value == -np.inf
 
 
-def test_model_checkpoint_roundtrip(tmp_path):
-    ds = small_dataset(50, binary_views=(2,))
-    model = small_model(ds, 50, binary_views=(2,))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    posts_a = encode_all(model, ds)
-    posts_b = encode_all(back, ds)
-    for a, b in zip(posts_a, posts_b):
-        np.testing.assert_array_equal(a.mu, b.mu)
-        np.testing.assert_array_equal(a.var, b.var)
-    np.testing.assert_array_equal(model.prior.pi, back.prior.pi)
-    with pytest.raises(ValueError):
-        (tmp_path / "junk.json").write_text("{}")
-        load_model(tmp_path / "junk.json")
-
-
-def test_mixed_model_checkpoint_restores_every_array(tmp_path):
+def test_build_checks_likelihoods_and_sizes_decoders():
     ds = small_dataset(52, binary_views=(0, 2))
     model = small_model(ds, 52, K=4, binary_views=(0, 2))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.likelihoods == ["bernoulli", "gaussian", "bernoulli"]
-    assert (back.K, back.d_z) == (model.K, model.d_z)
-    for a, b in zip(model.encoders + model.decoders, back.encoders + back.decoders):
-        assert a.layer_dims == b.layer_dims
+    assert model.likelihoods == ["bernoulli", "gaussian", "bernoulli"]
     # a Bernoulli decoder emits d_v logits, a Gaussian one [mean | sigma]
-    assert [dec.layer_dims[-1] for dec in back.decoders] == [
-        d * (1 if lk == "bernoulli" else 2) for d, lk in zip(ds.dims, back.likelihoods)]
-    assert len(back.parameters()) == len(model.parameters())
-    for a, b in zip(model.parameters(), back.parameters()):
-        assert np.array_equal(a, b)
+    assert [dec.layer_dims[-1] for dec in model.decoders] == [5, 8, 3]
+    with pytest.raises(ValueError, match=r"^unknown likelihood 'poisson'$"):
+        DmgmmModel.build(ds.dims, 4, likelihoods=["gaussian", "poisson", "gaussian"])
 
 
 def test_failed_load_params_writes_nothing():
@@ -1047,98 +1018,13 @@ def test_failed_load_params_writes_nothing():
         assert np.array_equal(a, b)
 
 
-# small_model(dims (5, 4, 3), hidden (8, 6), d_z 3, K 4) has 39 arrays:
-# 3 layers x (W, b) for each of 3 encoders, then 3 decoders, then
-# pi_logits, prior_mu and prior_rho.
-def _short_pi_logits(payload):
-    payload["parameters"][36] = payload["parameters"][36][:2]
-
-
-def _wrong_d_z(payload):
-    payload["d_z"] += 1
-
-
-def _short_bias(payload):
-    # decoder 0 is [3, 6, 8, 10]; arrays 18-23 are its W0, b0, W1, b1, ...
-    payload["parameters"][21] = [0.0] * 3
-
-
-def _wrong_likelihood(payload):
-    payload["likelihoods"][0] = "bernoulli"
-
-
-def _dropped_array(payload):
-    del payload["parameters"][-1]
-
-
-def _short_likelihoods(payload):
-    del payload["likelihoods"][-1]
-
-
-def _unknown_likelihood(payload):
-    payload["likelihoods"][1] = "poisson"
-
-
-def _scalar_parameters(payload):
-    payload["parameters"] = 5
-
-
-def _object_array(payload):
-    payload["parameters"][5] = {"W": 1.0}
-
-
-def _ragged_array(payload):
-    payload["parameters"][4] = [[0.0, 1.0], [2.0]]
-
-
-def _v1_payload(payload):
-    params = payload.pop("parameters")
-    payload.update(magic="imvc-model-v1", pi_logits=params[36], prior_mu=params[37],
-                   prior_rho=params[38], encoders=[], decoders=[])
-
-
-@pytest.mark.parametrize("corrupt,message", [
-    (_short_pi_logits, r"^parameters\[36\] has shape \(2,\), expected \(4,\)$"),
-    (_wrong_d_z, r"^parameters\[4\] has shape \(6, 6\), expected \(6, 8\)$"),
-    (_short_bias, r"^parameters\[21\] has shape \(3,\), expected \(8,\)$"),
-    (_wrong_likelihood, r"^parameters\[22\] has shape \(8, 10\), expected \(8, 5\)$"),
-    (_dropped_array, r"^38 parameter arrays given, expected 39$"),
-    (_short_likelihoods, r"^2 likelihoods given for 3 views$"),
-    (_unknown_likelihood, r"^unknown likelihood 'poisson'$"),
-    (_scalar_parameters, r"^checkpoint field 'parameters' is missing or not a list: "),
-    (_object_array, r"^parameters\[5\] is not a numeric array: "),
-    (_ragged_array, r"^parameters\[4\] is not a numeric array: "),
-    (_v1_payload, r"^not a imvc-model-v2 checkpoint"),
-], ids=["pi_logits", "d_z", "bias", "likelihood", "dropped_array", "short_likelihoods",
-        "unknown_likelihood", "scalar_parameters", "object_array", "ragged_array", "v1"])
-def test_inconsistent_checkpoint_rejected(tmp_path, corrupt, message):
-    ds = small_dataset(51)
-    path = tmp_path / "model.json"
-    save_model(small_model(ds, 51, K=4), path)
-    payload = json.loads(path.read_text())
-    corrupt(payload)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=message):
-        load_model(path)
-
-
-@pytest.mark.parametrize("text,message", [
-    ("[]", r"^not a imvc-model-v2 checkpoint: "),
-    ('{"magic": "imvc-model-v2"}', r"^checkpoint field 'view_dims' is missing or not a list: "),
-], ids=["json-list", "magic-only"])
-def test_malformed_checkpoint_rejected(tmp_path, text, message):
-    # these used to escape as AttributeError and KeyError
-    path = tmp_path / "model.json"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=message):
-        load_model(path)
-
-
-def test_failed_checkpoint_write_keeps_previous_file(tmp_path, failing_json_dump):
-    ds = small_dataset(50)
-    path = tmp_path / "model.json"
-    path.write_text("previous")
-    with pytest.raises(OSError, match="disk full"):
-        save_model(small_model(ds, 50), path)
-    assert path.read_text() == "previous"
-    assert os.listdir(tmp_path) == ["model.json"]
+def test_wrong_parameter_count_writes_nothing():
+    ds = small_dataset(53)
+    model = small_model(ds, 53)
+    before = model.copy_params()
+    saved = [p + 1.0 for p in before]
+    with pytest.raises(ValueError, match=rf"^{len(saved) - 1} parameter arrays given, "
+                                         rf"expected {len(saved)}$"):
+        model.load_params(saved[:-1])
+    for a, b in zip(before, model.parameters()):
+        assert np.array_equal(a, b)

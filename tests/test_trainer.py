@@ -39,10 +39,10 @@ class TestTrainConfig:
         "bad", [dict(log_every=0), dict(batch_size=-1), dict(d_z=0),
                 dict(train_lr=0.0), dict(pretrain_lr=-1e-3), dict(hidden=(16, 0)), dict(alpha=np.nan), dict(alpha=np.inf),
                 dict(train_lr=np.inf), dict(pretrain_lr=np.inf), dict(train_lr=np.nan),
-                dict(n_neighbors=0), dict(n_neighbors=2.5)],
+                dict(n_neighbors=0), dict(n_neighbors=2.5), dict(seed=-1)],
         ids=["log_every", "batch_size", "d_z", "train_lr",
              "pretrain_lr", "hidden", "alpha_nan", "alpha_inf", "train_lr_inf",
-             "pretrain_lr_inf", "train_lr_nan", "n_neighbors", "n_neighbors_float"],
+             "pretrain_lr_inf", "train_lr_nan", "n_neighbors", "n_neighbors_float", "seed"],
     )
     def test_out_of_range_rejected(self, bad):
         # the message names the field
@@ -247,6 +247,23 @@ class TestFit:
         # history carries every loss term and periodic metrics
         assert {"recon", "kl_gauss", "kl_cat", "coherence", "total"} <= set(res.history[0])
         assert "acc" in res.history[0]
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
+    def test_gamma_recomputed_from_model(self, ratio):
+        # the final responsibilities read only the trained model, the
+        # frozen selection and the data
+        ds = masked_synthetic(12)
+        config = quick_config(seed=4, selection_ratio=ratio)
+        res = fit(ds, config)
+        posts = M.encode_all(res.model, ds)
+        imput = None
+        if res.table.n_selected:
+            imput = M.impute_all(ds, res.table, posts, k=config.n_neighbors)
+        assert (imput is None) == (ratio == 0.0)
+        agg = M.aggregate_observed(posts, ds.mask, imput)
+        gamma = M.responsibilities(res.model.prior, agg.mu)
+        assert np.array_equal(gamma, res.gamma)
+        assert np.array_equal(gamma.argmax(axis=1), res.assignments)
 
     def test_prior_stays_valid(self):
         ds = masked_synthetic(11)
