@@ -494,7 +494,7 @@ def cmd_gen_data(args):
         view_dims=tuple(_ints(args.dims)),
         latent_dim=args.latent_dim,
         separation=args.separation,
-        view_noise=tuple(_floats(args.noise)),
+        view_noise=None if args.noise is None else tuple(_floats(args.noise)),
         seed=args.seed,
     )
     paths = save_dataset(ds, args.out_dir)
@@ -555,7 +555,7 @@ def build_parser():
     g.add_argument("--dims", default="12,10,8")
     g.add_argument("--latent-dim", type=int, default=4)
     g.add_argument("--separation", type=float, default=4.0)
-    g.add_argument("--noise", default="0.3,0.5,1.8")
+    g.add_argument("--noise", help="per-view noise levels (default: 0.3,0.5,1.8, one per view)")
     g.add_argument("--seed", type=int, default=0)
 
     m = sub.add_parser("gen-mask", help="generate an observation mask CSV")

@@ -126,7 +126,7 @@ class MissingSpec:
 
     def __post_init__(self):
         p = np.asarray(self.per_view_missing_prob, dtype=np.float64)
-        if p.ndim != 1 or ((p < 0) | (p >= 1)).any():
+        if p.ndim != 1 or not ((p >= 0) & (p < 1)).all():  # NaN fails too
             raise ValueError("per-view missing probabilities must lie in [0, 1)")
         if not 0.0 <= self.target_rate < 1.0:
             raise ValueError("target rate must lie in [0, 1)")
@@ -269,12 +269,32 @@ def make_synthetic(
     view_dims=(12, 10, 8),
     latent_dim=4,
     separation=4.0,
-    view_noise=(0.3, 0.5, 1.8),
+    view_noise=None,
     seed=0,
 ):
     """Gaussian-mixture toy data: shared latent clusters, one random linear
     map plus isotropic noise per view. Complete mask; labels included.
+
+    ``view_noise`` defaults to the first len(view_dims) of 0.3, 0.5, 1.8.
+    Raises ValueError naming the argument unless the counts and every view
+    dimension are at least 1, ``view_noise`` has one finite, non-negative
+    entry per view and ``separation`` is finite and positive.
     """
+    if view_noise is None:
+        view_noise = (0.3, 0.5, 1.8)[:len(view_dims)]
+    for name, value in (("n_samples", n_samples), ("n_clusters", n_clusters),
+                        ("latent_dim", latent_dim)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if len(view_dims) == 0 or min(view_dims) < 1:
+        raise ValueError(f"view_dims must be at least 1 each, got {tuple(view_dims)}")
+    if len(view_noise) != len(view_dims):
+        raise ValueError(f"view_noise has {len(view_noise)} entries for "
+                         f"{len(view_dims)} view_dims")
+    if not all(0.0 <= noise < np.inf for noise in view_noise):
+        raise ValueError(f"view_noise must be finite and non-negative, got {tuple(view_noise)}")
+    if not 0.0 < separation < np.inf:
+        raise ValueError(f"separation must be finite and positive, got {separation}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=separation, size=(n_clusters, latent_dim))
     labels = rng.integers(0, n_clusters, size=n_samples)

@@ -12,8 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .data import MultiViewDataset, mask_patterns
-from .model import QUERY_BLOCK, check_neighbors
+from .model import QUERY_BLOCK, check_neighbors, gemm_sq_distances
 from .scoring import pattern_blocks, view_distances
+
+
+# A query block with fewer query x donor pairs than this is ranked without
+# the GEMM screen of ``plugin_impute``: there, the screen's fixed cost of
+# some 50 numpy calls is more than the exact distances it saves.
+SCREEN_MIN_PAIRS = 1 << 15
 
 
 def _check_pair(pred, truth):
@@ -138,22 +144,157 @@ def ari(pred, truth):
 def _k_nearest(key, k, tie):
     """Columns of each row's k smallest keys, in the order of
     ``np.lexsort((tie, key), axis=1)``: by key with NaN last, equal keys by
-    ``tie`` (one value per column); k is capped at the column count.
+    ``tie`` (one value per column, or per entry: any array that broadcasts
+    to key's shape); k is capped at the column count.
 
     Rows are not sorted whole: ``np.partition`` finds each row's k-th
-    smallest key, and only the columns whose key is not above it are
-    sorted. Where it is finite they hold the k smallest, ties included;
-    where it is inf or NaN (fewer than k finite keys) they are all the
-    columns.
+    smallest key, and only the entries whose key is not above it (NaN
+    included) are sorted, packed to the left of one narrow matrix with NaN
+    keys after them. Where the k-th key is not NaN the row's k smallest,
+    ties included, are among its entries and sort before the padding;
+    where it is NaN (fewer than k keys that are not NaN) the entries are
+    all the columns, and the row has no padding.
     """
     n, m = key.shape
     k = min(k, m)
     kth = np.partition(key, k - 1, axis=1)[:, k - 1]
-    r, c = np.nonzero(~(key > kth[:, None]))
-    c = c[np.lexsort((tie[c], key[r, c], r))]
+    r, c = np.divmod(np.flatnonzero(~(key > kth[:, None])), m)
     count = np.bincount(r, minlength=n)
-    start = np.cumsum(count) - count
-    return c[start[:, None] + np.arange(k)]
+    slot = np.arange(r.size) - (np.cumsum(count) - count)[r]
+    tie = np.broadcast_to(tie, key.shape)
+    cols = np.zeros((n, count.max(initial=k)), dtype=np.intp)
+    packed_key = np.full(cols.shape, np.nan)
+    packed_tie = np.zeros(cols.shape, dtype=tie.dtype)
+    cols[r, slot] = c
+    packed_key[r, slot] = key[r, c]
+    packed_tie[r, slot] = tie[r, c]
+    order = np.lexsort((packed_tie, packed_key), axis=1)[:, :k]
+    return np.take_along_axis(cols, order, axis=1)
+
+
+def _by_view(pairs, widths):
+    """For each view u that a donor group of ``pairs`` shares, in ascending
+    order: ``(u, gs, cuts)``, the groups gs sharing u and the cuts that
+    split an array over their columns (``widths[g]`` each, in the order of
+    gs) into one part per group."""
+    for u in np.unique(np.concatenate([S for _, S in pairs])):
+        gs = [g for g, (_, S) in enumerate(pairs) if u in S]
+        yield u, gs, np.cumsum([widths[g] for g in gs[:-1]], dtype=np.int64)
+
+
+def _approx_keys(dataset, sq, qb, pairs):
+    """GEMM estimates of a query block's keys, and a bound on their error.
+
+    ``sq`` holds each view's squared row norms. Each view u gets one
+    ``model.gemm_sq_distances`` from the view-u rows of ``qb`` to those of
+    the donor groups ``(members, S)`` of ``pairs`` that share it; a group's
+    estimated key adds sqrt(max(approx_u, 0)) over its views S and divides
+    by |S|. Returns ``(approx, margin)``: the (len(qb), total members)
+    estimates, the groups' columns in the order of ``pairs``, and per query
+    row a margin that bounds how far any estimate in the row lies from its
+    exact key. Returns None when ``gemm_sq_distances`` declines a view.
+
+    The margin is the largest over groups of sum_{u in S} sqrt(tol_u) / |S|.
+    Per view, the squared estimate and the exact kernel's sum of squares
+    differ by less than tol_u / 2, clamping at 0 keeps that, and
+    |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), so the distances differ by less
+    than sqrt(tol_u / 2). With e = eps, the rest is rounding: both square
+    roots (at most 1.5 sqrt(n_u), with n_u = |a|^2 + max |b|^2 as in
+    ``gemm_sq_distances``), both sums over S and both divisions add at most
+    1.6 (|S| + 1) e sqrt(n_u) per view, and tol_u >= 20 e n_u makes that at
+    most 0.51 (|S| + 1) sqrt(e) sqrt(tol_u / 2). Below a million views
+    this is far less than the (sqrt(2) - 1) sqrt(tol_u / 2) that the
+    margin's sqrt(tol_u) leaves, which also covers the rounding of the
+    margin itself and of adding it to a key.
+    """
+    widths = [members.size for members, _ in pairs]
+    approx = np.empty((qb.size, sum(widths)))
+    blocks = np.split(approx, np.cumsum(widths[:-1]), axis=1)
+    root_tol = {}
+    for u, gs, cuts in _by_view(pairs, widths):
+        X = dataset.views[u]
+        donors = np.concatenate([pairs[g][0] for g in gs])
+        screen = gemm_sq_distances(X[qb], sq[u][qb], X[donors], sq[u][donors])
+        if screen is None:
+            return None
+        est, tol = screen
+        np.maximum(est, 0.0, out=est)
+        for g, part in zip(gs, np.split(est, cuts, axis=1)):
+            if u == pairs[g][1][0]:
+                np.sqrt(part, out=blocks[g])
+            else:
+                blocks[g] += np.sqrt(part, out=part)
+        root_tol[u] = np.sqrt(tol)
+    margin = np.zeros(qb.size)
+    for (_, S), block in zip(pairs, blocks):
+        block /= float(S.size)
+        np.maximum(margin, sum(root_tol[u] for u in S) / S.size, out=margin)
+    return approx, margin
+
+
+def _candidates(approx, margin, pairs, k):
+    """The screened candidates of a query block: ``(cand, pad, widths)``.
+
+    ``approx`` and ``margin`` are ``_approx_keys``'. A row's candidates are
+    the columns whose estimate is at most its k-th smallest estimate plus
+    twice its margin. Donor group g's candidates fill widths[g] columns of
+    the (rows, sum of widths) donor array ``cand``, widths[g] the group's
+    largest count in a row, in the order of the groups; ``pad`` marks the
+    slots that a row leaves empty, which hold the group's first donor.
+    """
+    n, m = approx.shape[0], len(pairs)
+    tie = np.concatenate([members for members, _ in pairs])
+    group = np.repeat(np.arange(m), [members.size for members, _ in pairs])
+    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    r, j = np.divmod(np.flatnonzero(approx <= (kth + 2 * margin)[:, None]), approx.shape[1])
+    # the entries of one (row, group) cell are consecutive
+    cell = r * m + group[j]
+    count = np.bincount(cell, minlength=n * m)
+    widths = count.reshape(n, m).max(axis=0)
+    col = ((np.cumsum(widths) - widths)[group[j]]
+           + np.arange(r.size) - (np.cumsum(count) - count)[cell])
+    cand = np.tile(np.repeat([members[0] for members, _ in pairs], widths), (n, 1))
+    cand[r, col] = tie[j]
+    pad = np.ones(cand.shape, dtype=bool)
+    pad[r, col] = False
+    return cand, pad, widths
+
+
+def _nearest(dataset, sq, qb, pairs, k):
+    """The k donors nearest to each query of a ``pattern_blocks`` block
+    ``(qb, pairs)``, nearest first; ``sq`` holds each view's squared row
+    norms.
+
+    Unless the screen declines (``_approx_keys`` returns None), k is not
+    below the block's donor count, or the block has fewer than
+    ``SCREEN_MIN_PAIRS`` query x donor pairs, only ``_candidates`` get
+    exact keys; else every donor does. Either way each donor group's
+    columns get the sum of its |S| ``view_distances`` over |S|, from one
+    kernel call per shared view for the whole block.
+    """
+    cand = np.concatenate([members for members, _ in pairs])
+    pad = np.zeros(cand.size, dtype=bool)
+    widths = [members.size for members, _ in pairs]
+    screen = None
+    if k < cand.size and qb.size * cand.size >= SCREEN_MIN_PAIRS:
+        screen = _approx_keys(dataset, sq, qb, pairs)
+    if screen is not None:
+        cand, pad, widths = _candidates(*screen, pairs, k)
+    # each key adds its shared views' distances to +0.0 in ascending view
+    # order (no distance is -0.0, so the first add is a copy)
+    key = np.zeros((qb.size, cand.shape[-1]))
+    cuts = np.cumsum(widths[:-1], dtype=np.int64)
+    blocks = np.split(key, cuts, axis=1)
+    cands = np.split(cand, cuts, axis=-1)
+    for u, gs, at in _by_view(pairs, widths):
+        dist = view_distances(dataset, u, qb, np.concatenate([cands[g] for g in gs], axis=-1))
+        for g, part in zip(gs, np.split(dist, at, axis=1)):
+            blocks[g] += part
+    for (_, S), block in zip(pairs, blocks):
+        block /= float(S.size)
+    key[np.broadcast_to(pad, key.shape)] = np.inf
+    tie = np.broadcast_to(cand, key.shape)
+    return tie[np.arange(qb.size)[:, None], _k_nearest(key, k, tie)]
 
 
 def plugin_impute(dataset, table, k=10):
@@ -168,11 +309,13 @@ def plugin_impute(dataset, table, k=10):
 
     Like ``scoring.info_scores``, each view v is walked by
     ``scoring.pattern_blocks``, in blocks of at most ``model.QUERY_BLOCK``
-    querying samples. Each donor group of a block fills its own columns of
-    the block's key matrix with one dense sum of its |S| distance blocks
-    over |S|, so memory is O(block * N). Within a block only each query's
-    k nearest are sorted (``_k_nearest``, ties broken by donor index), and
-    the order equals that of a full sort. Fills are computed from the
+    querying samples, so memory is O(block * N). A GEMM screen only
+    chooses candidates (``_nearest``): every exact key is within a row's
+    margin of its estimate (``_approx_keys``), so a row's exact top k, ties
+    included, have estimates within twice the margin of its k-th smallest
+    estimate (``_candidates``). Only each query's k nearest candidates are
+    sorted (``_k_nearest``, ties broken by donor index), so the order
+    equals that of a full sort of every donor. Fills are computed from the
     original observed data only.
 
     Returns (new dataset, imputed flag matrix); observed cells and
@@ -190,6 +333,9 @@ def plugin_impute(dataset, table, k=10):
         i, v = pos[observed][0]
         raise ValueError(f"position ({i}, {v}) is observed, nothing to impute")
     patterns = mask_patterns(mask)
+    # a huge or stale cell may overflow its norm, which fails the screen's guard
+    with np.errstate(over="ignore"):
+        sq = [(X * X).sum(axis=1) for X in dataset.views]
     for v in np.unique(pos[:, 1]):
         donors = np.flatnonzero(mask[:, v])
         if donors.size == 0:
@@ -200,17 +346,7 @@ def plugin_impute(dataset, table, k=10):
             raise ValueError(f"no donor shares an observed view with sample {lonely[0]}")
         X = dataset.views[v]
         for qb, pairs in pattern_blocks(patterns, v, q, QUERY_BLOCK):
-            tie = np.concatenate([members for members, _ in pairs])
-            cuts = np.cumsum([members.size for members, _ in pairs[:-1]], dtype=np.int64)
-            key = np.empty((qb.size, tie.size))
-            for (members, S), block in zip(pairs, np.split(key, cuts, axis=1)):
-                # the kernel sums squares from +0.0, so no distance is
-                # -0.0 and copying the first view equals adding it to 0
-                block[...] = view_distances(dataset, S[0], qb, members)
-                for u in S[1:]:
-                    block += view_distances(dataset, u, qb, members)
-                block /= float(S.size)
-            new_views[v][qb] = X[tie[_k_nearest(key, k, tie)]].mean(axis=1)
+            new_views[v][qb] = X[_nearest(dataset, sq, qb, pairs, k)].mean(axis=1)
         new_mask[q, v] = 1
         imputed[q, v] = True
     return (

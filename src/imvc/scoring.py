@@ -74,20 +74,23 @@ class InfoTable:
 def view_distances(dataset, u, rows, cols):
     """Euclidean distances in view u from samples ``rows`` to samples ``cols``.
 
-    Returns the (len(rows), len(cols)) matrix of sqrt(sum_k (a_k - b_k)^2),
-    summed one feature at a time in ascending k with separate elementwise
-    subtract, multiply and add: no GEMM, no FMA and no reduction whose
-    order depends on the array shape. Each entry is thus the same sequence
-    of IEEE operations whatever else the call holds, so any block of rows
-    and columns gives bit-equal values, and the matrix is exactly symmetric.
+    ``rows`` is 1-D and ``rows[:, None]`` is broadcast against ``cols``: a
+    1-D ``cols`` gives the (len(rows), len(cols)) matrix of every pair, a
+    (len(rows), c) one the distances from rows[i] to cols[i, j]. Each entry
+    is sqrt(sum_k (a_k - b_k)^2), summed one feature at a time in ascending
+    k with separate elementwise subtract, multiply and add: no GEMM, no FMA
+    and no reduction whose order depends on the array shape. Each entry is
+    thus the same sequence of IEEE operations whatever else the call holds,
+    so any block or choice of pairs gives bit-equal values, and the matrix
+    is exactly symmetric.
     """
     X = dataset.views[u]
-    A = np.ascontiguousarray(X[rows].T)
-    B = np.ascontiguousarray(X[cols].T)
-    acc = np.zeros((A.shape[1], B.shape[1]))
+    A = np.ascontiguousarray(X[rows].T)[:, :, None]
+    B = X.T.take(cols, axis=1)
+    acc = np.zeros(np.broadcast_shapes(A.shape[1:], B.shape[1:]))
     diff = np.empty_like(acc)
     for a, b in zip(A, B):
-        np.subtract(a[:, None], b, out=diff)
+        np.subtract(a, b, out=diff)
         np.multiply(diff, diff, out=diff)
         acc += diff
     return np.sqrt(acc, out=acc)

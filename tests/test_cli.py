@@ -482,6 +482,38 @@ class TestExitCodes:
         assert out.read_text() == before
         assert os.listdir(tmp_path) == ["mask.csv"]
 
+    @pytest.mark.parametrize("args,message", [
+        (["--dims", "5,5", "--noise", "0.3,0.5,1.8"], "view_noise has 3 entries for 2 view_dims"),
+        (["--dims", "0,5,5"], "view_dims must be at least 1 each, got (0, 5, 5)"),
+        (["--separation", "nan"], "separation must be finite and positive, got nan"),
+        (["--latent-dim", "0"], "latent_dim must be at least 1, got 0"),
+        (["--samples", "0"], "n_samples must be at least 1, got 0"),
+        (["--clusters", "0"], "n_clusters must be at least 1, got 0"),
+    ], ids=["noise-count", "zero-dim", "nan-separation", "zero-latent-dim", "no-samples",
+            "no-clusters"])
+    def test_bad_gen_data_argument_exits_1(self, tmp_path, capsys, args, message):
+        # each used to write broken views and exit 0, or exit 1 with a numpy error
+        out = tmp_path / "d"
+        assert main(["gen-data", "--out-dir", str(out), *args]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_missing_probability_exits_1(self, workspace, tmp_path, monkeypatch, capsys):
+        root, cfg = workspace
+        out = tmp_path / "mask.csv"
+        assert main(["gen-mask", "--out", str(out), "--samples", "50",
+                     "--probs", "0.8,nan,0.2", "--rate", "0.3"]) == 1
+        assert "must lie in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+        def no_training(*args, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(imvc.cli, "fit", no_training)
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "sweep"),
+                     "--set", "sweep.mask_probs=0.5,nan"]) == 1
+        assert "must lie in [0, 1)" in capsys.readouterr().err
+
     def test_bad_subcommand_usage(self, capsys):
         assert main(["gen-mask", "--out", "x.csv"]) == 1
         capsys.readouterr()

@@ -168,6 +168,13 @@ class TestGenerateMask:
         mask = generate_mask(100, 3, spec)
         assert (mask == 1).all()
 
+    @pytest.mark.parametrize("probs", [[0.8, np.nan, 0.2], [np.nan] * 3, [0.8, 1.0, 0.2]])
+    def test_probability_outside_range_rejected(self, probs):
+        # a NaN used to pass the range check and fail later with numpy
+        # warnings and a "could not realize missing rate" error
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+            MissingSpec(np.array(probs), target_rate=0.3)
+
     def test_one_view_zero_rate_all_ones(self):
         spec = MissingSpec(np.array([0.3]), target_rate=0.0, seed=1)
         assert (generate_mask(10, 1, spec) == 1).all()
@@ -241,6 +248,26 @@ class TestSynthetic:
         b = make_synthetic(n_samples=50, seed=12)
         for X, Y in zip(a.views, b.views):
             np.testing.assert_array_equal(X, Y)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(view_dims=(5, 5), view_noise=(0.3, 0.5, 1.8)),
+         r"view_noise has 3 entries for 2 view_dims"),
+        (dict(view_dims=(2, 2, 2, 2)), r"view_noise has 3 entries for 4 view_dims"),
+        (dict(view_dims=(0, 5, 5)), r"view_dims must be at least 1 each, got \(0, 5, 5\)"),
+        (dict(view_dims=()), r"view_dims must be at least 1 each"),
+        (dict(separation=float("nan")), r"separation must be finite and positive, got nan"),
+        (dict(separation=0.0), r"separation must be finite and positive"),
+        (dict(view_noise=(0.3, float("inf"), 1.8)), r"view_noise must be finite and non-negative"),
+        (dict(latent_dim=0), r"latent_dim must be at least 1, got 0"),
+        (dict(n_samples=0), r"n_samples must be at least 1, got 0"),
+        (dict(n_clusters=0), r"n_clusters must be at least 1, got 0"),
+    ], ids=["noise-count", "default-noise-count", "zero-dim", "no-view", "nan-separation", "zero-separation",
+            "inf-noise", "zero-latent-dim", "no-samples", "no-clusters"])
+    def test_bad_argument_named(self, kwargs, message):
+        # each used to return broken data (views zipped short, empty or
+        # all-NaN views, no cluster structure) or fail inside numpy
+        with pytest.raises(ValueError, match=message):
+            make_synthetic(**kwargs)
 
 
 class TestAtomicOpen:

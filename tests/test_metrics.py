@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from imvc import metrics
-from imvc.data import MultiViewDataset
+from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic, mask_patterns
 from imvc.metrics import _k_nearest, _max_matching, accuracy, ari, nmi, plugin_impute
-from imvc.model import QUERY_BLOCK
-from imvc.scoring import InfoTable, info_scores, select_positions
+from imvc.model import _SQ_MAX, QUERY_BLOCK
+from imvc.scoring import InfoTable, info_scores, pattern_blocks, select_positions, view_distances
 
 from oracles import lexsort_nearest, plugin_impute_per_position
 from test_scoring import scale_instance, traced_peak_bytes
@@ -408,3 +408,110 @@ class TestPluginImpute:
                           selected=np.ones(len(select), dtype=bool))
         with pytest.raises(ValueError, match=message):
             plugin_impute(ds, table)
+
+
+class TestPluginScreen:
+    """The GEMM screen of ``plugin_impute`` only chooses candidates: fills
+    stay those of ranking every donor exactly. The small instances force
+    the screen on by lowering ``metrics.SCREEN_MIN_PAIRS`` to 0."""
+
+    @pytest.fixture
+    def screened(self, monkeypatch):
+        monkeypatch.setattr(metrics, "SCREEN_MIN_PAIRS", 0)
+
+    @pytest.mark.parametrize("offsets,nearest", [
+        ((0.56, 0.13, 0.78), 1), ((0.09, 0.27, 0.49), 1),
+        ((0.65, 0.87, 0.17), 2), ((0.53, 0.57, 0.44), 2),
+    ])
+    def test_donors_one_ulp_apart(self, screened, offsets, nearest):
+        # donors 1 and 2 lie at the offsets and at their reverse from
+        # sample 0, near (3, 3, 3): summed in feature order their exact
+        # keys differ by one ulp, while the GEMM estimates, some 20 ulps
+        # off, rank them the other way round
+        q = np.full(3, 3.0)
+        X = np.array([q, q + offsets, q + offsets[::-1], q + 5.0])
+        ds = MultiViewDataset([X, np.array([[0.0], [10.0], [20.0], [30.0]])],
+                              np.array([[1, 0]] + [[1, 1]] * 3))
+        d = view_distances(ds, 0, np.array([0]), np.array([1, 2]))[0]
+        assert abs(d[1] - d[0]) == np.spacing(d[0]) and np.argmin(d) == nearest - 1
+        out, _ = plugin_impute(ds, table_for(ds), k=1)
+        assert out.views[1][0, 0] == 10.0 * nearest
+
+    @staticmethod
+    def assert_screen_changes_nothing(monkeypatch, ds, table, k):
+        """Fills with every block screened equal those with none."""
+        fills = []
+        for threshold in (0, float("inf")):
+            monkeypatch.setattr(metrics, "SCREEN_MIN_PAIRS", threshold)
+            fills.append(plugin_impute(ds, table, k=k)[0].views)
+        for a, b in zip(*fills):
+            np.testing.assert_array_equal(a, b)
+        return fills[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_common_offset(self, monkeypatch, seed):
+        # every row sits within 1e-3 of 1e8: the GEMM estimates are off by
+        # far more than the distances, the margin grows to match, and
+        # every donor stays a candidate
+        ds, table = plugin_instance(seed, n=120)
+        rng = np.random.default_rng(seed)
+        ds = MultiViewDataset([1e8 + 1e-3 * rng.normal(size=X.shape) for X in ds.views], ds.mask)
+        self.assert_screen_changes_nothing(monkeypatch, ds, table, 5)
+
+    def test_huge_row_ranks_every_donor(self, monkeypatch):
+        # view 0's rows are 2^511 + 2^470 p for distinct integers p, so
+        # their squared norms reach model._SQ_MAX: the screen declines and
+        # every donor gets its exact key, |p_i - p_j| 2^470
+        rng = np.random.default_rng(0)
+        p = rng.permutation(16)
+        X = 2.0**511 + 2.0**470 * p[:, None]
+        assert ((X * X).sum(axis=1) >= _SQ_MAX).all()
+        ds = MultiViewDataset([X, rng.normal(size=(16, 2))], np.array([[1, 0]] * 4 + [[1, 1]] * 12))
+        out = self.assert_screen_changes_nothing(monkeypatch, ds, table_for(ds), 3)
+        for i in range(4):
+            nearest = 4 + np.lexsort((np.arange(12), abs(p[4:] - p[i])))[:3]
+            assert out[1][i].tolist() == ds.views[1][nearest].mean(axis=0).tolist()
+
+    @pytest.mark.parametrize("case,k", [
+        (dict(), 3),
+        (dict(ties=True), 5),
+        (dict(), 100),
+        (dict(V=4), 4),
+        (dict(n=2 * QUERY_BLOCK, ties=True, long_view=True), 7),
+        (dict(nan_row=True), 5),
+        (dict(missing=0.65), 8),
+    ], ids=["random", "exact-ties", "k-above-donors", "four-views", "two-query-blocks",
+            "nan-distances", "few-usable-donors"])
+    def test_screened_bitwise_equal_to_per_position(self, screened, case, k):
+        for seed in range(8):
+            TestPluginImpute().assert_per_position_fills(*plugin_instance(seed, **case), k)
+
+    def test_exact_kernel_sees_few_pairs(self, monkeypatch):
+        # the screen runs at its real threshold: the exact kernel gets
+        # under 5 % of the (query, donor, shared view) triples that ranking
+        # every donor exactly computes
+        ds, _ = scale_instance()
+        table = table_for(ds)
+        patterns = mask_patterns(ds.mask.astype(bool))
+        pos = table.positions
+        dense = sum(qb.size * sum(members.size * S.size for members, S in pairs)
+                    for v in range(ds.n_views)
+                    for qb, pairs in pattern_blocks(patterns, v, pos[pos[:, 1] == v, 0], QUERY_BLOCK))
+        seen = []
+
+        def spy(dataset, u, rows, cols):
+            out = view_distances(dataset, u, rows, cols)
+            seen.append(out.size)
+            return out
+
+        monkeypatch.setattr(metrics, "view_distances", spy)
+        plugin_impute(ds, table, k=10)
+        assert 0 < sum(seen) < 0.05 * dense
+
+    def test_realistic_size_equals_per_position(self):
+        # make_synthetic(1000) under the 0.8/0.5/0.2 eta=0.5 mask, every
+        # missing position selected, at the screen's real threshold
+        base = make_synthetic(n_samples=1000, seed=0)
+        mask = generate_mask(1000, 3, MissingSpec(np.array([0.8, 0.5, 0.2]), 0.5, seed=1))
+        ds = MultiViewDataset(views=base.views, mask=mask)
+        TestPluginImpute().assert_per_position_fills(ds, table_for(ds), 10)
