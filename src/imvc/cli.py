@@ -80,7 +80,10 @@ def read_config(path, overrides):
     cfg = {sec: dict(vals) for sec, vals in DEFAULTS.items()}
     if path:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise CliError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise CliError(f"config file not found: {path}")
         for sec in parser.sections():
@@ -116,6 +119,16 @@ def config_hash(cfg):
     ).hexdigest()[:12]
 
 
+def _setting(cfg, name, convert):
+    """The setting ``name`` ("section.key") of ``cfg`` through ``convert``;
+    a value it cannot convert raises CliError naming the key."""
+    sec, key = name.split(".")
+    try:
+        return convert(cfg[sec][key])
+    except ValueError as exc:
+        raise CliError(f"{name}: {exc}") from exc
+
+
 def _floats(text):
     return [float(x) for x in text.replace(",", " ").split()]
 
@@ -129,21 +142,23 @@ def _strings(text):
 
 
 def train_config(cfg, **kw):
-    t = cfg["train"]
+    def get(key, convert=int):
+        return _setting(cfg, f"train.{key}", convert)
+
     base = dict(
-        pretrain_epochs=int(t["pretrain_epochs"]),
-        train_epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
-        pretrain_lr=float(t["pretrain_lr"]),
-        train_lr=float(t["lr"]),
-        alpha=float(t["alpha"]),
-        selection_ratio=float(t["selection_ratio"]),
-        n_neighbors=int(t["neighbors"]),
-        d_z=int(t["latent_dim"]),
-        hidden=tuple(_ints(t["hidden"])),
-        likelihoods=_strings(t["likelihoods"]) or None,
-        seed=int(t["seed"]),
-        log_every=int(t["log_every"]),
+        pretrain_epochs=get("pretrain_epochs"),
+        train_epochs=get("epochs"),
+        batch_size=get("batch_size"),
+        pretrain_lr=get("pretrain_lr", float),
+        train_lr=get("lr", float),
+        alpha=get("alpha", float),
+        selection_ratio=get("selection_ratio", float),
+        n_neighbors=get("neighbors"),
+        d_z=get("latent_dim"),
+        hidden=tuple(get("hidden", _ints)),
+        likelihoods=get("likelihoods", _strings) or None,
+        seed=get("seed"),
+        log_every=get("log_every"),
     )
     base.update(kw)
     try:
@@ -161,7 +176,7 @@ def load_from_config(cfg):
         views,
         mask_path=d["mask"] or None,
         labels_path=d["labels"] or None,
-        K=int(d["clusters"]) if d["clusters"] else None,
+        K=_setting(cfg, "data.clusters", int) if d["clusters"] else None,
     )
     return normalize(ds)
 
@@ -340,21 +355,20 @@ def _sweep_pool(workers):
 
 
 def cmd_sweep(cfg):
-    sw = cfg["sweep"]
-    rates = _floats(sw["rates"])
-    ratios = _floats(sw["ratios"])
-    alphas = _floats(sw["alphas"]) or [float(cfg["train"]["alpha"])]
-    runs = int(sw["runs"])
-    workers = int(sw["workers"])
+    rates = _setting(cfg, "sweep.rates", _floats)
+    ratios = _setting(cfg, "sweep.ratios", _floats)
+    alphas = _setting(cfg, "sweep.alphas", _floats) or [_setting(cfg, "train.alpha", float)]
+    runs = _setting(cfg, "sweep.runs", int)
+    workers = _setting(cfg, "sweep.workers", int)
     if not rates or not ratios or runs < 1 or workers < 1:
         raise CliError("sweep needs non-empty rates, ratios, runs >= 1 and workers >= 1")
     ds = load_from_config(cfg)
     if ds.labels is None:
         raise CliError("sweep needs labels to report metrics")
-    probs = _floats(sw["mask_probs"]) or [0.5] * ds.n_views
+    probs = _setting(cfg, "sweep.mask_probs", _floats) or [0.5] * ds.n_views
     if len(probs) != ds.n_views:
         raise CliError(f"mask_probs needs {ds.n_views} entries")
-    mask_seed = int(sw["mask_seed"])
+    mask_seed = _setting(cfg, "sweep.mask_seed", int)
 
     out = os.path.join(cfg["output"]["dir"], "sweep.csv")
     want_hash = config_hash(cfg)
@@ -444,9 +458,9 @@ PLUGIN_FIELDS = ["variant", "ratio", "seed", "acc", "nmi", "ari"]
 
 
 def cmd_plugin(cfg):
-    ratio = float(cfg["plugin"]["ratio"])
-    k = int(cfg["plugin"]["neighbors"])
-    runs = int(cfg["plugin"]["runs"])
+    ratio = _setting(cfg, "plugin.ratio", float)
+    k = _setting(cfg, "plugin.neighbors", int)
+    runs = _setting(cfg, "plugin.runs", int)
     if k < 1 or runs < 1 or not 0.0 <= ratio <= 1.0:
         raise CliError("plugin needs neighbors >= 1, runs >= 1 and ratio in [0, 1]")
     ds = load_from_config(cfg)

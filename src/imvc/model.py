@@ -20,10 +20,10 @@ one array, over which the loss forms their terms at once.
 
 The training loss is the negative ELBO (reconstruction over observed
 views, mixture KL, categorical KL) plus ``alpha`` times a coherence
-penalty KL(fused || per-view). ``loss_and_grads`` evaluates it together
-with hand-derived analytic gradients for every parameter, including the
-mixture parameters; imputed expert parameters are treated as constants
-(they are refreshed once per epoch, not differentiated through).
+penalty KL(fused || per-view). ``loss_and_grads`` evaluates it with
+hand-derived gradients for every parameter, running each decoder forward
+and backward in one pass; imputed experts are constants (refreshed once
+per epoch, not differentiated through).
 """
 
 from __future__ import annotations
@@ -539,21 +539,33 @@ def check_trainable(model):
         _check_finite("log_pi", np.log(model.pi))
 
 
+def _nll_and_grad(likelihood, X, out, c):
+    """Per-row NLL of X under decoder heads ``out`` ([mean | sigma] or
+    logits), and ``c`` times its gradient w.r.t. ``out``."""
+    if likelihood == "gaussian":
+        m_x, s_x = out[:, :X.shape[1]], out[:, X.shape[1]:]
+        nll = 0.5 * (LOG_2PI + 2.0 * np.log(s_x) + ((X - m_x) / s_x) ** 2).sum(axis=1)
+        return nll, np.concatenate([c * (m_x - X) / s_x**2,
+                                    c * (1.0 / s_x - (X - m_x) ** 2 / s_x**3)], axis=1)
+    return (softplus(out) - X * out).sum(axis=1), c * (sigmoid(out) - X)
+
+
 def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
                    encoded=None):
     """Training objective and analytic gradients on one batch.
 
     eps is the frozen reparameterization noise, shape (len(batch), d_z).
-    imputations is the ``(prec, num)`` pair of ``impute_all`` over all
-    samples (or None); its rows for the batch are treated as constant
-    experts (no gradients flow into them). ``encoded``, when given, is
-    ``encoder_pass(model, dataset, batch_idx)`` at the current parameters
-    and is read in place of running the encoders again; the result is the
-    same bit for bit. Each view's networks run on the batch rows that
-    observe it only, so a view that no batch row observes gets exactly
-    zero gradients. Returns (LossTerms, grads) with grads aligned to
-    ``model.parameters()``. Raises NonFiniteLossError naming the first
-    non-finite term.
+    imputations is ``impute_all``'s ``(prec, num)`` pair over all samples
+    (or None); its batch rows are constant experts (no gradients flow into
+    them). ``encoded``, when given, is ``encoder_pass(model, dataset,
+    batch_idx)`` at the current parameters, read in place of running the
+    encoders again, bit for bit. Each view's networks run on the batch rows
+    that observe it only, so a view no batch row observes gets exactly zero
+    gradients. Each decoder runs forward and backward once, in view order,
+    before the (B, K, d) prior terms are formed; z's gradient adds the
+    prior's path after the decoders'. Returns (LossTerms, grads), grads
+    aligned to ``model.parameters()``. Raises NonFiniteLossError naming the
+    first non-finite term, or ``log_pi`` before any network runs.
     """
     batch_idx = np.asarray(batch_idx, dtype=np.int64)
     B = batch_idx.size
@@ -561,6 +573,9 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (B, d):
         raise ValueError("noise shape must be (batch, d_z)")
+    pi = model.pi
+    if not pi.all():  # a weight underflowed to 0, whose log is -inf
+        raise NonFiniteLossError("log_pi", -math.inf)
     c = 1.0 / B
 
     # ---- encode: the experts of every view, stacked; stack row j lies on
@@ -585,10 +600,22 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
     sd_agg = np.sqrt(var_agg)
     z = mu_agg + sd_agg * eps
 
+    # ---- each view's decoder, forward and backward, on its rows ----
+    recon = np.zeros(B)
+    g_z = np.zeros((B, d))
+    dec_grads = []
+    for v, rows in enumerate(view_rows):
+        X = encoded.inputs[v][0]
+        a, ins = model.decoders[v].forward(z[rows])
+        nll, d_out = _nll_and_grad(model.likelihoods[v], X, scale_heads(a, X.shape[1]), c)
+        recon[rows] += nll
+        scale_slope(a, X.shape[1], d_out)
+        gv, dz_rows = model.decoders[v].backward(ins, d_out)
+        g_z[rows] += dz_rows
+        dec_grads.append(gv)
+    del a, ins, nll, d_out, dz_rows  # the last view's are not read again
+
     # ---- mixture prior: each shared (B, K, d) term is formed once ----
-    pi = model.pi
-    if not pi.all():  # a weight underflowed to 0, whose log is -inf
-        raise NonFiniteLossError("log_pi", -math.inf)
     log_pi = np.log(pi)
     mu_k = model.prior_mu
     var_k = softplus(model.prior_rho) + VAR_MIN
@@ -614,22 +641,7 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
     t2 = (gamma * kl_k).sum(axis=1)
     t3 = (gamma * (log_gamma - log_pi[None, :])).sum(axis=1)
 
-    # ---- reconstruction over each view's rows; coherence per expert ----
-    recon = np.zeros(B)
-    dec = []  # (layer inputs, network output, heads) per view's decoder
-    for v, rows in enumerate(view_rows):
-        X = encoded.inputs[v][0]
-        d_v = X.shape[1]
-        a, ins = model.decoders[v].forward(z[rows])
-        out = scale_heads(a, d_v)
-        if model.likelihoods[v] == "gaussian":
-            m_x, s_x = out[:, :d_v], out[:, d_v:]
-            nll = 0.5 * (LOG_2PI + 2.0 * np.log(s_x) + ((X - m_x) / s_x) ** 2).sum(axis=1)
-        else:
-            t = out  # logits
-            nll = (softplus(t) - X * t).sum(axis=1)
-        recon[rows] += nll
-        dec.append((ins, a, out))
+    # coherence, per expert
     ch_R = 0.5 * (np.log(var) - np.log(var_agg[R])
                   + (var_agg[R] + (mu_agg[R] - mu) ** 2) / var - 1.0).sum(axis=1)
     ch = np.zeros(B)
@@ -652,13 +664,13 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
 
     # ================= backward =================
     # gamma-dependent paths first, so that their (B, K, d) terms are freed
-    # before the decoders' backward passes
+    # before the encoders' backward passes
     d_gamma = c * (kl_k + log_gamma - log_pi[None, :] + 1.0)
     d_logits = gamma * (d_gamma - (gamma * d_gamma).sum(axis=1, keepdims=True))
     inv_vk = 1.0 / var_k
     inv_vk2 = inv_vk**2
     diff_iv = diff * inv_vk[None]
-    g_prior = -np.einsum("bk,bkd->bd", d_logits, diff_iv)
+    g_z += -np.einsum("bk,bkd->bd", d_logits, diff_iv)  # the prior's path, after the decoders
 
     d_log_pi = d_logits.sum(axis=0) - c * gamma.sum(axis=0)
     d_pi_logits = d_log_pi - pi * d_log_pi.sum()
@@ -681,26 +693,6 @@ def loss_and_grads(model, dataset, batch_idx, eps, alpha=0.0, imputations=None,
         0.5 * (inv_vk[None] - spread * inv_vk2[None]),
     )
     del diff, diff2, m_diff, spread, diff_iv, mu_diff
-
-    # decoders; z's gradient adds the prior's path after theirs
-    g_z = np.zeros((B, d))
-    dec_grads = []
-    for v, (ins, a, out) in enumerate(dec):
-        rows, X = view_rows[v], encoded.inputs[v][0]
-        d_v = X.shape[1]
-        if model.likelihoods[v] == "gaussian":
-            m_x, s_x = out[:, :d_v], out[:, d_v:]
-            d_m = c * (m_x - X) / s_x**2
-            d_s = c * (1.0 / s_x - (X - m_x) ** 2 / s_x**3)
-            d_out = np.concatenate([d_m, d_s], axis=1)
-        else:
-            d_out = c * (sigmoid(out) - X)
-        scale_slope(a, d_v, d_out)
-        gv, dz_rows = model.decoders[v].backward(ins, d_out)
-        g_z[rows] += dz_rows
-        dec_grads.append(gv)
-    del dec, ins, a, out, d_out  # the decoders' forward results are not read again
-    g_z += g_prior
 
     # reparameterized sample
     d_mu_agg += g_z

@@ -161,10 +161,13 @@ def calibrate_heads(model, dataset, latents):
         zero mean and unit per-dimension variance, with the inverse affine
         map absorbed exactly into the decoder's first layer (the composed
         function is unchanged);
-      * sets the encoder scale head to ENC_SIGMA_FRAC (per-dimension std
-        is now 1);
-      * sets the decoder scale head to the per-dimension reconstruction
-        residual std.
+      * sets the encoder scale head's bias to give ENC_SIGMA_FRAC
+        (per-dimension std is now 1);
+      * sets a Gaussian decoder's scale head bias to give the
+        per-dimension reconstruction residual std.
+
+    The heads' weights keep their initial values, so a row's scales are
+    these only where the last hidden layer is zero.
 
     Mutates the model and the latents in place.
     """

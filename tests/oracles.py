@@ -11,8 +11,9 @@ written down, so the tests can compare the two;
 neighbour search: the full query x donor distance matrix and a stable
 argsort.
 ``plugin_impute_per_position`` ranks the raw-feature donors of
-``metrics.plugin_impute`` one selected position at a time, from dense
-N x N distance matrices per view, and ``lexsort_nearest`` is the full
+``metrics.plugin_impute`` one selected position at a time, by exact
+distances to that query's donors only, summed one feature at a time in
+ascending order, and ``lexsort_nearest`` is the full
 (key, donor index) sort whose first k columns of a row the partial
 selection ``metrics._k_nearest`` must equal.
 ``info_scores_per_position`` scores one
@@ -173,8 +174,11 @@ def plugin_impute_per_position(dataset, table, k=10):
 
     For each selected position (i, v), candidate donors are samples
     observed in view v that share at least one observed view with i; they
-    are ranked by the average of per-shared-view Euclidean distances and
-    the k nearest donate the unweighted mean of their view-v rows. All
+    are ranked by the average of per-shared-view Euclidean distances
+    (added in ascending view order; ties to the lower donor index, NaN
+    last) and the k nearest donate the unweighted mean of their view-v
+    rows. Each distance is exact: computed for i's donors only, by the
+    IEEE operations of ``scoring.view_distances``. All
     fills are computed from the original observed data before any is
     applied. Returns (new dataset, imputed flag matrix); observed cells
     and unselected positions are untouched, and filled cells get mask 1.
@@ -198,20 +202,15 @@ def plugin_impute_per_position(dataset, table, k=10):
             imputed,
         )
 
-    # Per-view squared distances over observed pairs, lazily materialized.
-    dist_cache = {}
-
-    def view_dist(u):
-        if u not in dist_cache:
-            obs = np.where(mask[:, u] == 1)[0]
-            X = dataset.views[u][obs]
-            sq = np.sum(X * X, axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-            np.maximum(d2, 0.0, out=d2)
-            full = np.full((n, n), np.nan)
-            full[np.ix_(obs, obs)] = np.sqrt(d2)
-            dist_cache[u] = full
-        return dist_cache[u]
+    def view_dist(u, i, donors):
+        # sum_f (x_if - x_df)^2 one feature at a time in ascending f, then
+        # the root: the IEEE operations of scoring.view_distances
+        X = dataset.views[u]
+        acc = np.zeros(donors.size)
+        for f in range(X.shape[1]):
+            diff = X[i, f] - X[donors, f]
+            acc += diff * diff
+        return np.sqrt(acc)
 
     fills = []
     for i, v in selected:
@@ -228,9 +227,8 @@ def plugin_impute_per_position(dataset, table, k=10):
             raise ValueError(f"no donor shares an observed view with sample {i}")
         dist = np.zeros(donors.size)
         for u in np.where(mask[i] == 1)[0]:
-            col = view_dist(u)[i, donors]
             has = shared[:, int(u)]
-            dist[has] += col[has]
+            dist[has] += view_dist(u, i, donors[has])
         dist /= shared.sum(axis=1)
         kk = min(k, donors.size)
         order = np.argsort(dist, kind="stable")[:kk]

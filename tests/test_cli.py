@@ -369,6 +369,53 @@ class TestExitCodes:
                    "--set", setting])
         assert rc == 1
 
+    @pytest.mark.parametrize("text", [
+        "seed = 1\n",
+        "[train]\nseed = 1\nseed = 2\n",
+        "[train]\nseed = 1\n[train]\nepochs = 3\n",
+    ], ids=["no-section-header", "repeated-option", "repeated-section"])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, text):
+        # configparser's own errors used to escape as runtime failures (exit 2)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"error: malformed config file {cfg}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,setting", [
+        ("fit", "train.lr=fast"),
+        ("fit", "train.epochs=1e3"),
+        ("fit", "train.hidden=64.5"),
+        ("score", "train.seed=one"),
+        ("fit", "data.clusters=4.0"),
+        ("sweep", "sweep.rates=0.3,high"),
+        ("sweep", "sweep.runs=two"),
+        ("sweep", "sweep.workers=1.5"),
+        ("sweep", "sweep.mask_probs=0.4,x"),
+        ("sweep", "sweep.mask_seed=7.0"),
+        ("sweep", "train.alpha=big"),
+        ("plugin", "plugin.ratio=half"),
+        ("plugin", "plugin.neighbors=3.5"),
+        ("plugin", "plugin.runs=x"),
+    ])
+    def test_unparsable_setting_names_its_key(self, workspace, tmp_path, monkeypatch, capsys,
+                                              command, setting):
+        root, cfg = workspace
+
+        def no_training(*args, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(imvc.cli, "build_scored", no_training)
+        monkeypatch.setattr(imvc.cli, "fit", no_training)
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), "--out-dir", str(out), "--set", setting])
+        assert rc == 1
+        key, value = setting.split("=")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and repr(value.split(",")[-1]) in err
+        assert not out.exists()
+
     def test_removed_checkpoint_key_rejected(self, workspace, tmp_path, capsys):
         root, cfg = workspace
         rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path),

@@ -434,7 +434,7 @@ class TestPluginScreen:
                               np.array([[1, 0]] + [[1, 1]] * 3))
         d = view_distances(ds, 0, np.array([0]), np.array([1, 2]))[0]
         assert abs(d[1] - d[0]) == np.spacing(d[0]) and np.argmin(d) == nearest - 1
-        out, _ = plugin_impute(ds, table_for(ds), k=1)
+        out = TestPluginImpute().assert_per_position_fills(ds, table_for(ds), 1)
         assert out.views[1][0, 0] == 10.0 * nearest
 
     @staticmethod
@@ -449,14 +449,14 @@ class TestPluginScreen:
         return fills[0]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_large_common_offset(self, monkeypatch, seed):
+    def test_large_common_offset(self, screened, seed):
         # every row sits within 1e-3 of 1e8: the GEMM estimates are off by
         # far more than the distances, the margin grows to match, and
         # every donor stays a candidate
         ds, table = plugin_instance(seed, n=120)
         rng = np.random.default_rng(seed)
         ds = MultiViewDataset([1e8 + 1e-3 * rng.normal(size=X.shape) for X in ds.views], ds.mask)
-        self.assert_screen_changes_nothing(monkeypatch, ds, table, 5)
+        TestPluginImpute().assert_per_position_fills(ds, table, 5)
 
     def test_huge_row_ranks_every_donor(self, monkeypatch):
         # view 0's rows are 2^511 + 2^470 p for distinct integers p, so

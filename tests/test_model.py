@@ -23,6 +23,7 @@ from imvc.model import (
     scale_slope,
     w2_distance,
 )
+from imvc.nn import Mlp
 
 from oracles import (
     coherence_loss,
@@ -994,6 +995,26 @@ class TestCheckTrainable:
         with pytest.raises(NonFiniteLossError) as info:
             loss_and_grads(model, ds, np.arange(ds.n_samples), eps)
         assert info.value.term == "log_pi" and info.value.value == -np.inf
+
+    def test_underflowing_prior_weight_raises_before_any_network_runs(self, monkeypatch):
+        ds = small_dataset(64)
+        calls = []
+        forward = Mlp.forward
+
+        def spy(net, X):
+            calls.append(net)
+            return forward(net, X)
+
+        monkeypatch.setattr(Mlp, "forward", spy)
+        model = small_model(ds, 64)
+        eps = np.zeros((ds.n_samples, model.d_z))
+        loss_and_grads(model, ds, np.arange(ds.n_samples), eps)
+        assert len(calls) == 2 * ds.n_views  # the spy sees every encoder and decoder
+        calls.clear()
+        model.pi_logits[0] += 1e4  # the other prior weights underflow to 0
+        with pytest.raises(NonFiniteLossError) as info:
+            loss_and_grads(model, ds, np.arange(ds.n_samples), eps)
+        assert info.value.term == "log_pi" and calls == []
 
 
 def test_build_checks_likelihoods_and_sizes_decoders():

@@ -5,6 +5,7 @@ from imvc import model as M
 from imvc import trainer
 from imvc.data import MissingSpec, MultiViewDataset, generate_mask, make_synthetic, normalize
 from imvc.model import VAR_MIN, DmgmmModel
+from imvc.nn import softplus
 from imvc.trainer import TrainConfig, fit, init_prior, kmeans_pp, pretrain
 from oracles import AdamPerArray, loss_and_grads_per_view, pretrain_reference
 
@@ -136,6 +137,78 @@ class TestPretrain:
         latents, losses = pretrain(model, ds, quick_config(pretrain_epochs=40))
         assert losses[-1] < losses[0]
         assert latents[0].shape == (40, 3)
+
+
+def mean_path(model, ds, v):
+    """Decoder of encoder mean on view v's observed rows: a Gaussian
+    decoder's mean columns, a Bernoulli decoder's logits."""
+    X = ds.views[v][ds.observed(v)]
+    h = model.encoders[v].forward(X)[0][:, :model.d_z]
+    return model.decoders[v].forward(h)[0][:, :X.shape[1]]
+
+
+class TestCalibrateHeads:
+    """``calibrate_heads`` standardises each view's latents on its observed
+    rows, moves the inverse affine map into the decoder's first layer and
+    resets the scale heads' biases."""
+
+    @staticmethod
+    def pretrained(binary_views=()):
+        ds = masked_synthetic(8)
+        likelihoods = ["bernoulli" if v in binary_views else "gaussian" for v in range(3)]
+        model = DmgmmModel.build(ds.dims, 3, d_z=4, hidden=(16, 8),
+                                 likelihoods=likelihoods, seed=8)
+        latents, _ = pretrain(model, ds, quick_config(pretrain_epochs=20))
+        return ds, model, latents
+
+    @pytest.mark.parametrize("binary_views", [(), (1,)], ids=["gaussian", "bernoulli-view-1"])
+    def test_invariants(self, binary_views):
+        ds, model, latents = self.pretrained(binary_views)
+        d = model.d_z
+        before = [l.copy() for l in latents]
+        paths = [mean_path(model, ds, v) for v in range(3)]
+        outputs = [(dec.weights[-1].copy(), dec.biases[-1].copy()) for dec in model.decoders]
+        trainer.calibrate_heads(model, ds, latents)
+        for v in range(3):
+            rows = ds.observed(v)
+            H = latents[v][rows]
+            np.testing.assert_allclose(H.mean(axis=0), 0.0, atol=1e-12)
+            np.testing.assert_allclose(H.std(axis=0), 1.0, rtol=1e-9)
+            # the latents are the calibrated encoder's means; other rows are untouched
+            X = ds.views[v][rows]
+            np.testing.assert_allclose(model.encoders[v].forward(X)[0][:, :d], H, atol=1e-12)
+            unobserved = np.setdiff1d(np.arange(ds.n_samples), rows)
+            assert latents[v][unobserved].tobytes() == before[v][unobserved].tobytes()
+            # decoder of encoder mean is the same function
+            np.testing.assert_allclose(mean_path(model, ds, v), paths[v], rtol=1e-9, atol=1e-12)
+            # the scale heads' biases give ENC_SIGMA_FRAC and, for a
+            # Gaussian decoder, the per-column residual std (floored at 1e-3)
+            enc_bias = model.encoders[v].biases[-1][d:]
+            np.testing.assert_allclose(softplus(enc_bias), trainer.ENC_SIGMA_FRAC, rtol=1e-12)
+            dec = model.decoders[v]
+            W, b = outputs[v]
+            assert dec.weights[-1].tobytes() == W.tobytes()
+            d_v = X.shape[1]
+            if v in binary_views:  # the logits layer is untouched
+                assert dec.biases[-1].tobytes() == b.tobytes()
+            else:
+                assert dec.biases[-1][:d_v].tobytes() == b[:d_v].tobytes()
+                resid = np.maximum((X - dec.forward(H)[0][:, :d_v]).std(axis=0), 1e-3)
+                np.testing.assert_allclose(softplus(dec.biases[-1][d_v:]), resid, rtol=1e-12)
+
+    def test_scale_floor(self):
+        # a latent dimension with a spread under 1e-3 is divided by 1e-3,
+        # not by its own std, so it stays narrower than unit
+        ds, model, latents = self.pretrained()
+        rows = ds.observed(0)
+        latents[0][rows, 1] = 2.0 + 1e-6 * np.random.default_rng(0).normal(size=rows.size)
+        spread = latents[0][rows, 1].std()
+        paths = mean_path(model, ds, 0)
+        trainer.calibrate_heads(model, ds, latents)
+        assert latents[0][rows, 1].mean() == pytest.approx(0.0, abs=1e-9)
+        assert latents[0][rows, 1].std() == pytest.approx(spread / 1e-3, rel=1e-6)
+        np.testing.assert_allclose(latents[0][rows, 0].std(), 1.0, rtol=1e-9)
+        np.testing.assert_allclose(mean_path(model, ds, 0), paths, rtol=1e-9, atol=1e-12)
 
 
 def unobserved_third_view(n=60):
